@@ -161,11 +161,9 @@ func main() {
 	run("ablate-dummy", runAblateDummy)
 	run("ablate-cache", runAblateCache)
 	run("ablate-policy", runAblatePolicy)
-	run("ablate-concurrency", runAblateConcurrency)
-	run("ablate-write-concurrency", runAblateWriteConcurrency)
-	run("ablate-cached-write", runAblateCachedWrite)
-	run("ablate-stegdb", runAblateStegDB)
-	run("ablate-stegdb-write", runAblateStegDBWrite)
+	for _, sw := range sweeps {
+		run(sw.exp, runSweep(sw.exp, sw.title, sw.workload))
+	}
 	run("ablate-faults", runAblateFaults)
 	run("ida", runIDA)
 	run("speed", runSpeed)
@@ -227,106 +225,62 @@ func runAblatePolicy(cfg bench.Config) error {
 	return nil
 }
 
-func runAblateConcurrency(cfg bench.Config) error {
-	rows, err := bench.ConcurrencySweep(cfg, nil, 0, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation A5 — parallel read path (goroutines over one shared cached volume,")
-	fmt.Println("latency-emulated disk; wall-clock is real time, disk-sec the simulated clock):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  hit-rate")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %7.1f%%\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.HitRate*100)
-		emit("ablate-concurrency", r)
-	}
-	return nil
+// sweeps are the concurrency ablations A5–A9: one bench.Sweep each, printed
+// by runSweep. The title lines say what the workload is; the columns are
+// the same for every sweep.
+var sweeps = []struct {
+	exp, title string
+	workload   bench.Workload
+}{
+	{"ablate-concurrency", `Ablation A5 — parallel read path (goroutines over one shared cached volume,
+latency-emulated disk; wall-clock is real time, disk-sec the simulated clock):`,
+		bench.ReadWorkload(0)},
+	{"ablate-write-concurrency", `Ablation A6 — parallel write path (goroutines over one shared uncached volume,
+mixed create/rewrite/delete on distinct objects; latency-emulated disk):`,
+		bench.WriteWorkload()},
+	{"ablate-cached-write", `Ablation A7 — cached parallel write path (goroutines over one shared volume
+mounted through the write-back cache with the async flush pipeline; cold reads +
+mixed create/rewrite/delete; window ends at the Sync barrier; latency-emulated disk;
+sync-tail is the closing barrier alone — the elevator (C-SCAN) flusher keeps it short):`,
+		bench.CachedWriteWorkload()},
+	{"ablate-stegdb", `Ablation A8 — concurrent hidden database (goroutines of mixed Get/Put/Delete/
+Scan over ONE shared stegdb table on a cached, latency-emulated volume; scans
+read pager snapshots; the write-back Sync runs after the window — unmeasured
+wall time, but its device time counts in disk-sec):`,
+		bench.StegDBWorkload(0)},
+	{"ablate-stegdb-write", `Ablation A9 — stegdb write scalability (goroutines of a write-heavy mixed
+Put/Delete/Get/Range op set over ONE shared table partitioned across 16 hidden
+files — B-link tree writers, group-commit Sync after the window, counted in
+disk-sec like A8; cached, latency-emulated volume; identical op set per level):`,
+		bench.StegDBWriteWorkload()},
 }
 
-func runAblateWriteConcurrency(cfg bench.Config) error {
-	rows, report, err := bench.WriteConcurrencySweep(cfg, nil, 0, 0)
-	if err != nil {
-		return err
+// runSweep runs one concurrency ablation and prints its rows and the
+// allocator's group-skew summary.
+func runSweep(exp, title string, w bench.Workload) func(bench.Config) error {
+	return func(cfg bench.Config) error {
+		rows, rep, err := bench.Sweep(cfg, w, nil, 0)
+		if err != nil {
+			return err
+		}
+		fmt.Println(title)
+		fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  sync-tail  hit-rate  writebacks  batches  wbehind  stalls")
+		for _, r := range rows {
+			fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %9.3f  %7.1f%%  %10d  %7d  %7d  %6d\n",
+				r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.SyncTailSeconds,
+				r.HitRate*100, r.WriteBacks, r.FlushBatches, r.WriteBehinds, r.FlushStalls)
+			emit(exp, r)
+		}
+		contPct := 0.0
+		if rep.Locks > 0 {
+			contPct = 100 * float64(rep.Contended) / float64(rep.Locks)
+		}
+		fmt.Printf("  alloc groups=%d allocs=%d frees=%d lock-contention=%d/%d (%.2f%%) per-group allocs min/mean/max=%d/%.1f/%d\n",
+			rep.Groups, rep.Allocs, rep.Frees, rep.Contended, rep.Locks, contPct,
+			rep.MinAllocs, rep.MeanAllocs, rep.MaxAllocs)
+		emit(exp+"-alloc", rep)
+		return nil
 	}
-	fmt.Println("Ablation A6 — parallel write path (goroutines over one shared uncached volume,")
-	fmt.Println("mixed create/rewrite/delete on distinct objects; latency-emulated disk):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds)
-		emit("ablate-write-concurrency", r)
-	}
-	printAllocReport(report)
-	emit("ablate-write-concurrency-alloc", report)
-	return nil
-}
-
-func runAblateCachedWrite(cfg bench.Config) error {
-	rows, report, err := bench.CachedWriteConcurrencySweep(cfg, nil, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation A7 — cached parallel write path (goroutines over one shared volume")
-	fmt.Println("mounted through the write-back cache with the async flush pipeline; cold reads +")
-	fmt.Println("mixed create/rewrite/delete; window ends at the Sync barrier; latency-emulated disk;")
-	fmt.Println("sync-tail is the closing barrier alone — the elevator (C-SCAN) flusher keeps it short):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  sync-tail  hit-rate  writebacks  batches  wbehind  stalls")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %9.3f  %7.1f%%  %10d  %7d  %7d  %6d\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.SyncTailSeconds,
-			r.HitRate*100, r.WriteBacks, r.FlushBatches, r.WriteBehinds, r.FlushStalls)
-		emit("ablate-cached-write", r)
-	}
-	printAllocReport(report)
-	emit("ablate-cached-write-alloc", report)
-	return nil
-}
-
-func runAblateStegDB(cfg bench.Config) error {
-	rows, err := bench.StegDBConcurrencySweep(cfg, nil, 0, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation A8 — concurrent hidden database (goroutines of mixed Get/Put/Delete/")
-	fmt.Println("Scan over ONE shared stegdb table on a cached, latency-emulated volume; scans")
-	fmt.Println("read pager snapshots; write-back Sync runs between levels, unmeasured):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  hit-rate")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %7.1f%%\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.HitRate*100)
-		emit("ablate-stegdb", r)
-	}
-	return nil
-}
-
-func runAblateStegDBWrite(cfg bench.Config) error {
-	rows, err := bench.StegDBWriteSweep(cfg, nil, 0, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Ablation A9 — stegdb write scalability (goroutines of a write-heavy mixed")
-	fmt.Println("Put/Delete/Get/Range op set over ONE shared PARTITIONED hidden table — B-link")
-	fmt.Println("tree writers, hash-sharded partitions, group-commit Sync between levels,")
-	fmt.Println("unmeasured; cached, latency-emulated volume; identical op set per level):")
-	fmt.Println("  goroutines  partitions  wall-sec     ops/s   speedup  disk-sec  hit-rate")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %7.1f%%\n",
-			r.Goroutines, r.Partitions, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.HitRate*100)
-		emit("ablate-stegdb-write", r)
-	}
-	return nil
-}
-
-// printAllocReport prints the sharded allocator's group-skew summary under a
-// concurrency sweep's table.
-func printAllocReport(rep bench.AllocReport) {
-	contPct := 0.0
-	if rep.Locks > 0 {
-		contPct = 100 * float64(rep.Contended) / float64(rep.Locks)
-	}
-	fmt.Printf("  alloc groups=%d allocs=%d frees=%d lock-contention=%d/%d (%.2f%%) per-group allocs min/mean/max=%d/%.1f/%d\n",
-		rep.Groups, rep.Allocs, rep.Frees, rep.Contended, rep.Locks, contPct,
-		rep.MinAllocs, rep.MeanAllocs, rep.MaxAllocs)
 }
 
 func runAblateCache(cfg bench.Config) error {

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"stegfs/internal/gf256"
-	"stegfs/internal/ida"
 	"stegfs/internal/sgcrypto"
 	"stegfs/internal/stegfs"
 	"stegfs/internal/vdisk"
@@ -134,40 +132,6 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	filler := sgcrypto.NewRandomFiller(fak)
 	add(speedMeasure("filler-fill", bs, budget, func() {
 		filler.Fill(dst)
-	}))
-
-	// GF(256) kernels: the IDA inner loops.
-	gsrc := make([]byte, 4096)
-	gdst := make([]byte, 4096)
-	for i := range gsrc {
-		gsrc[i] = byte(i * 3)
-	}
-	add(speedMeasure("gf-mulslice", 4096, budget, func() {
-		gf256.MulSlice(0x1d, gdst, gsrc)
-	}))
-	srcs := [][]byte{gsrc, gdst, gsrc, gdst}
-	cs := []byte{3, 5, 7, 11}
-	acc := make([]byte, 4096)
-	add(speedMeasure("gf-muladd4", 4*4096, budget, func() {
-		gf256.MulAddSlices(cs, acc, srcs)
-	}))
-
-	// IDA dispersal at the ablation's default shape (any 4 of 6).
-	idaIn := make([]byte, 64<<10)
-	for i := range idaIn {
-		idaIn[i] = byte(i * 5)
-	}
-	ip := ida.Params{M: 4, N: 6}
-	shares, err := ida.Split(idaIn, ip)
-	if err != nil {
-		return nil, err
-	}
-	add(speedMeasure("ida-split", len(idaIn), budget, func() {
-		_, _ = ida.Split(idaIn, ip)
-	}))
-	quorum := shares[:ip.M]
-	add(speedMeasure("ida-reconstruct", len(idaIn), budget, func() {
-		_, _ = ida.Reconstruct(quorum, ip)
 	}))
 
 	// End-to-end cached data path through a hidden file.

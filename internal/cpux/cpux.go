@@ -1,14 +1,9 @@
-// Package cpux detects the few x86 ISA extensions the hand-written kernels
-// in this repository dispatch on: AES-NI for the sgcrypto CTR keystream and
-// AVX2 for the gf256 nibble-table kernel. On other architectures — or older
-// x86 parts — every flag is false and the callers keep their portable Go
-// paths, so the package is a read-only capability report, never a
-// requirement.
+// Package cpux detects the x86 ISA extension the hand-written kernel in
+// this repository dispatches on: AES-NI for the sgcrypto CTR keystream. On
+// other architectures — or older x86 parts — the flag is false and the
+// caller keeps its portable Go path, so the package is a read-only
+// capability report, never a requirement.
 package cpux
 
 // HasAESNI reports AESENC/AESENCLAST support (x86 AES-NI).
 var HasAESNI bool
-
-// HasAVX2 reports AVX2 support with OS-enabled YMM state (OSXSAVE checked,
-// XCR0 confirms the OS saves XMM+YMM registers across context switches).
-var HasAVX2 bool

@@ -2,9 +2,8 @@
 
 package cpux
 
-// cpuid and xgetbv are implemented in cpuid_amd64.s.
+// cpuid is implemented in cpuid_amd64.s.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
 
 func init() {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -13,15 +12,4 @@ func init() {
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	HasAESNI = ecx1&(1<<25) != 0
-	osxsave := ecx1&(1<<27) != 0
-	avx := ecx1&(1<<28) != 0
-	ymmEnabled := false
-	if osxsave {
-		xcr0, _ := xgetbv()
-		ymmEnabled = xcr0&0x6 == 0x6 // XMM and YMM state saved by the OS
-	}
-	if maxID >= 7 {
-		_, ebx7, _, _ := cpuid(7, 0)
-		HasAVX2 = avx && ymmEnabled && ebx7&(1<<5) != 0
-	}
 }

@@ -1,20 +1,7 @@
 // Package gf256 implements arithmetic in the finite field GF(2^8) with the
-// AES polynomial x^8 + x^4 + x^3 + x + 1 (0x11b). It is the substrate for
-// Rabin's information dispersal algorithm (internal/ida), which the paper
-// discusses as Mnemosyne's improvement over plain replication for the
-// random-addressing steganographic scheme (§2, reference [10]/[15]).
-//
-// The bulk entry points (MulSlice, MulAddSlices) have two kernels. On amd64
-// with AVX2 they use the 16x16 nibble-table formulation every production
-// erasure coder uses: the product table of c is split into two 16-entry
-// tables (low and high nibble) and resolved 32 bytes at a time with VPSHUFB
-// (gf_amd64.s). Everywhere else a portable word-wide Go kernel processes
-// eight bytes per step: one 64-bit word of source is loaded, the eight
-// product-table lookups are composed into one 64-bit result word, and a
-// single XOR+store updates the destination.
+// AES polynomial x^8 + x^4 + x^3 + x + 1 (0x11b). sgcrypto builds its AES
+// S-box from Inv at init time.
 package gf256
-
-import "encoding/binary"
 
 // poly is the reduction polynomial (0x11b without the x^8 bit).
 const poly = 0x1b
@@ -84,161 +71,4 @@ func Pow(a byte, n int) byte {
 		return 0
 	}
 	return exp[(log[a]*n)%255]
-}
-
-// mulSliceTableMin is the slice length above which MulSlice amortizes a
-// 256-byte product table. Building the table costs 255 lookups (~200ns);
-// measured against the ~1ns/byte direct log/exp path the crossover sits
-// near 360 bytes, so shorter slices keep the direct path.
-const mulSliceTableMin = 384
-
-// mulSliceVecMin is the minimum length routed to the vector kernel: below
-// two 32-byte vectors the shuffle setup (two table broadcasts) is not worth
-// the call.
-const mulSliceVecMin = 64
-
-// MulSlice computes dst[i] ^= c * src[i] for all i — the inner loop of
-// matrix-vector products over the field. Long slices (IDA operates on
-// block-sized shards) go to the VPSHUFB nibble kernel when available, else
-// to the word-wide table kernel: eight bytes of src per step, one XOR+store
-// into dst, with no zero-test branch and no double exp/log indirection.
-func MulSlice(c byte, dst, src []byte) {
-	if c == 0 {
-		return
-	}
-	if hasVec && len(src) >= mulSliceVecMin {
-		mulSliceVec(c, dst, src)
-		return
-	}
-	if len(src) < mulSliceTableMin {
-		lc := log[c]
-		for i, s := range src {
-			if s != 0 {
-				dst[i] ^= exp[lc+log[s]]
-			}
-		}
-		return
-	}
-	var tab [256]byte
-	buildMulTable(c, &tab)
-	mulAddWide(&tab, dst, src)
-}
-
-// buildMulTable fills tab with the 256-entry product table of c (tab[x] =
-// c*x; tab[0] stays 0). Viewed as a 16x16 grid it is the nibble table the
-// SIMD formulations use; the pure-Go kernel indexes it with whole bytes.
-func buildMulTable(c byte, tab *[256]byte) {
-	lc := log[c]
-	for x := 1; x < 256; x++ {
-		tab[x] = exp[lc+log[x]]
-	}
-}
-
-// mulAddWide is the wide kernel behind MulSlice: dst[i] ^= tab[src[i]],
-// eight bytes per step. The source word is loaded once, the eight table
-// lookups are composed into one result word, and the destination is updated
-// with a single load-XOR-store — roughly one third of the memory operations
-// of the byte-at-a-time loop, which is where the table path's time went.
-func mulAddWide(tab *[256]byte, dst, src []byte) {
-	n := len(src)
-	_ = dst[n-1] // one bounds check for the whole loop
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		r := uint64(tab[s&0xff]) |
-			uint64(tab[s>>8&0xff])<<8 |
-			uint64(tab[s>>16&0xff])<<16 |
-			uint64(tab[s>>24&0xff])<<24 |
-			uint64(tab[s>>32&0xff])<<32 |
-			uint64(tab[s>>40&0xff])<<40 |
-			uint64(tab[s>>48&0xff])<<48 |
-			uint64(tab[s>>56])<<56
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^r)
-	}
-	for ; i < n; i++ {
-		dst[i] ^= tab[src[i]]
-	}
-}
-
-// fusedGroup bounds how many product tables a MulAddSlices pass keeps live
-// at once: 8 tables are 2 KB of hot stack — comfortably L1-resident next to
-// the source words — and cover every practical IDA quorum in one pass.
-const fusedGroup = 8
-
-// MulAddSlices computes dst[i] ^= sum_k cs[k] * srcs[k][i] — a fused
-// matrix-vector row: one pass over dst accumulates every source, instead of
-// the len(cs) separate read-modify-write passes that repeated MulSlice calls
-// would make. Each srcs[k] must be at least len(dst) bytes. Zero
-// coefficients are skipped. Quorums larger than fusedGroup fall back to
-// ceil(k/fusedGroup) passes, still a k/8 reduction in dst traffic.
-//
-// When the vector kernel is available the fused Go pass loses to plain
-// per-source VPSHUFB sweeps (the shuffle kernel is memory-bound, so the
-// extra dst traffic is cheaper than leaving the vector unit), so this
-// routes to one vector sweep per nonzero coefficient instead.
-func MulAddSlices(cs []byte, dst []byte, srcs [][]byte) {
-	if len(cs) != len(srcs) {
-		panic("gf256: MulAddSlices coefficient/source count mismatch")
-	}
-	n := len(dst)
-	if n == 0 {
-		return
-	}
-	if hasVec && n >= mulSliceVecMin {
-		for k, c := range cs {
-			if c != 0 {
-				mulSliceVec(c, dst, srcs[k][:n])
-			}
-		}
-		return
-	}
-	if n < mulSliceTableMin {
-		for k, c := range cs {
-			MulSlice(c, dst, srcs[k][:n])
-		}
-		return
-	}
-	var tabs [fusedGroup][256]byte
-	var sel [fusedGroup][]byte
-	for base := 0; base < len(cs); {
-		g := 0
-		for base < len(cs) && g < fusedGroup {
-			if cs[base] != 0 {
-				buildMulTable(cs[base], &tabs[g])
-				sel[g] = srcs[base]
-				g++
-			}
-			base++
-		}
-		if g == 0 {
-			continue
-		}
-		for t := 0; t < g; t++ {
-			_ = sel[t][n-1] // one bounds check per source for the whole pass
-		}
-		i := 0
-		for ; i+8 <= n; i += 8 {
-			r := binary.LittleEndian.Uint64(dst[i:])
-			for t := 0; t < g; t++ {
-				s := binary.LittleEndian.Uint64(sel[t][i:])
-				tab := &tabs[t]
-				r ^= uint64(tab[s&0xff]) |
-					uint64(tab[s>>8&0xff])<<8 |
-					uint64(tab[s>>16&0xff])<<16 |
-					uint64(tab[s>>24&0xff])<<24 |
-					uint64(tab[s>>32&0xff])<<32 |
-					uint64(tab[s>>40&0xff])<<40 |
-					uint64(tab[s>>48&0xff])<<48 |
-					uint64(tab[s>>56])<<56
-			}
-			binary.LittleEndian.PutUint64(dst[i:], r)
-		}
-		for ; i < n; i++ {
-			b := dst[i]
-			for t := 0; t < g; t++ {
-				b ^= tabs[t][sel[t][i]]
-			}
-			dst[i] = b
-		}
-	}
 }

@@ -1,8 +1,6 @@
 package gf256
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -81,246 +79,4 @@ func TestInvZeroPanics(t *testing.T) {
 		}
 	}()
 	Inv(0)
-}
-
-func TestMulSlice(t *testing.T) {
-	src := []byte{1, 2, 3, 0, 255}
-	dst := make([]byte, 5)
-	MulSlice(7, dst, src)
-	for i := range src {
-		if dst[i] != Mul(7, src[i]) {
-			t.Fatalf("MulSlice[%d] mismatch", i)
-		}
-	}
-	// c=0 leaves dst untouched.
-	before := append([]byte(nil), dst...)
-	MulSlice(0, dst, src)
-	for i := range dst {
-		if dst[i] != before[i] {
-			t.Fatal("MulSlice with c=0 modified dst")
-		}
-	}
-}
-
-// TestMulSliceTablePathMatchesReference cross-checks the table-driven fast
-// path (len >= mulSliceTableMin) against the definitional product for all
-// byte values, including zeros, and verifies the accumulate (^=) semantics.
-func TestMulSliceTablePathMatchesReference(t *testing.T) {
-	for _, c := range []byte{1, 2, 3, 7, 0x53, 0xca, 255} {
-		src := make([]byte, 4096)
-		dst := make([]byte, len(src))
-		want := make([]byte, len(src))
-		for i := range src {
-			src[i] = byte(i * 13)
-			dst[i] = byte(i * 29)
-			want[i] = dst[i] ^ Mul(c, src[i])
-		}
-		MulSlice(c, dst, src)
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("c=%#x: MulSlice[%d] = %#x, want %#x", c, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
-// mulSliceNoTable is the pre-table reference implementation, kept for the
-// benchmark comparison.
-func mulSliceNoTable(c byte, dst, src []byte) {
-	if c == 0 {
-		return
-	}
-	lc := log[c]
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= exp[lc+log[s]]
-		}
-	}
-}
-
-// mulSliceTabByte is the previous table path — one byte per step — kept as
-// the reference the wide kernel is pinned against and benchmarked over.
-func mulSliceTabByte(c byte, dst, src []byte) {
-	if c == 0 {
-		return
-	}
-	var tab [256]byte
-	buildMulTable(c, &tab)
-	_ = dst[len(src)-1]
-	for i, s := range src {
-		dst[i] ^= tab[s]
-	}
-}
-
-// FuzzMulSliceKernels pins the word-wide kernel (and the fused multi-source
-// kernel) to the byte-at-a-time table path byte for byte, across arbitrary
-// lengths, alignments and coefficients.
-func FuzzMulSliceKernels(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(0x53), byte(0xca))
-	f.Add(make([]byte, 1024), byte(1), byte(255))
-	f.Add([]byte{0xff}, byte(7), byte(0))
-	f.Fuzz(func(t *testing.T, src []byte, c1, c2 byte) {
-		if len(src) == 0 {
-			return
-		}
-		dstA := make([]byte, len(src))
-		dstB := make([]byte, len(src))
-		for i := range dstA {
-			dstA[i] = byte(i * 17)
-			dstB[i] = dstA[i]
-		}
-		// Force the table/wide path regardless of length so short fuzz
-		// inputs still exercise the kernel (MulSlice itself routes short
-		// slices to the direct path, which TestMulSlice covers).
-		var tab [256]byte
-		if c1 != 0 {
-			buildMulTable(c1, &tab)
-			mulAddWide(&tab, dstA, src)
-		}
-		mulSliceTabByte(c1, dstB, src)
-		if !bytes.Equal(dstA, dstB) {
-			t.Fatalf("wide kernel diverges from byte kernel (c=%#x, n=%d)", c1, len(src))
-		}
-		// Pin the vector kernel (when this platform has one) to the same
-		// reference, including its unaligned tail handling.
-		if hasVec && c1 != 0 {
-			dstV := make([]byte, len(src))
-			for i := range dstV {
-				dstV[i] = byte(i * 17)
-			}
-			mulSliceVec(c1, dstV, src)
-			if !bytes.Equal(dstV, dstB) {
-				t.Fatalf("vector kernel diverges from byte kernel (c=%#x, n=%d)", c1, len(src))
-			}
-		}
-		// Fused two-source kernel vs two sequential MulSlice passes. Use the
-		// reversed src as the second source so the sources differ.
-		rev := make([]byte, len(src))
-		for i := range src {
-			rev[i] = src[len(src)-1-i]
-		}
-		fused := append([]byte(nil), dstA...)
-		seq := append([]byte(nil), dstA...)
-		MulAddSlices([]byte{c1, c2}, fused, [][]byte{src, rev})
-		MulSlice(c1, seq, src)
-		MulSlice(c2, seq, rev)
-		if !bytes.Equal(fused, seq) {
-			t.Fatalf("MulAddSlices diverges from sequential MulSlice (c1=%#x, c2=%#x, n=%d)", c1, c2, len(src))
-		}
-	})
-}
-
-// TestMulAddSlices checks the fused kernel against sequential MulSlice for
-// quorums around the fusedGroup boundary, with zero coefficients mixed in.
-func TestMulAddSlices(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 7, 8, 9, 17} {
-		for _, n := range []int{1, 7, 8, 384, 1024, 1031} {
-			cs := make([]byte, k)
-			srcs := make([][]byte, k)
-			for j := range cs {
-				cs[j] = byte(j * 37) // includes a zero coefficient at j=0
-				srcs[j] = make([]byte, n)
-				for i := range srcs[j] {
-					srcs[j][i] = byte(i*31 + j*7 + 1)
-				}
-			}
-			fused := make([]byte, n)
-			seq := make([]byte, n)
-			for i := range fused {
-				fused[i] = byte(i * 11)
-				seq[i] = fused[i]
-			}
-			MulAddSlices(cs, fused, srcs)
-			for j := range cs {
-				MulSlice(cs[j], seq, srcs[j])
-			}
-			if !bytes.Equal(fused, seq) {
-				t.Fatalf("k=%d n=%d: fused result diverges", k, n)
-			}
-		}
-	}
-}
-
-func TestMulAddSlicesMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch should panic")
-		}
-	}()
-	MulAddSlices([]byte{1, 2}, make([]byte, 8), [][]byte{make([]byte, 8)})
-}
-
-// BenchmarkMulSlice measures the IDA inner loop at shard-typical lengths;
-// /auto is MulSlice's dispatched path (VPSHUFB on amd64+AVX2), /gowide the
-// portable word-at-a-time kernel, /tablebyte the previous byte-at-a-time
-// table path, /logexp the original branch-and-double-lookup path.
-func BenchmarkMulSlice(b *testing.B) {
-	for _, n := range []int{512, 1024, 8192} {
-		src := make([]byte, n)
-		dst := make([]byte, n)
-		for i := range src {
-			src[i] = byte(i*31 + 1)
-		}
-		if n < mulSliceTableMin {
-			b.Fatalf("benchmark size %d below table threshold %d", n, mulSliceTableMin)
-		}
-		b.Run(fmt.Sprintf("auto/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				MulSlice(0x53, dst, src)
-			}
-		})
-		b.Run(fmt.Sprintf("gowide/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			var tab [256]byte
-			buildMulTable(0x53, &tab)
-			for i := 0; i < b.N; i++ {
-				mulAddWide(&tab, dst, src)
-			}
-		})
-		b.Run(fmt.Sprintf("tablebyte/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				mulSliceTabByte(0x53, dst, src)
-			}
-		})
-		b.Run(fmt.Sprintf("logexp/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				mulSliceNoTable(0x53, dst, src)
-			}
-		})
-	}
-}
-
-// BenchmarkMulAddSlices compares a fused k-source accumulation against k
-// sequential MulSlice passes (the IDA reconstruction inner loop, k = quorum).
-func BenchmarkMulAddSlices(b *testing.B) {
-	const n = 8192
-	for _, k := range []int{3, 8} {
-		cs := make([]byte, k)
-		srcs := make([][]byte, k)
-		for j := range cs {
-			cs[j] = byte(j*37 + 5)
-			srcs[j] = make([]byte, n)
-			for i := range srcs[j] {
-				srcs[j][i] = byte(i*31 + j)
-			}
-		}
-		dst := make([]byte, n)
-		b.Run(fmt.Sprintf("fused/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(n * k))
-			for i := 0; i < b.N; i++ {
-				MulAddSlices(cs, dst, srcs)
-			}
-		})
-		b.Run(fmt.Sprintf("sequential/k=%d", k), func(b *testing.B) {
-			b.SetBytes(int64(n * k))
-			for i := 0; i < b.N; i++ {
-				for j := range cs {
-					MulSlice(cs[j], dst, srcs[j])
-				}
-			}
-		})
-	}
 }

@@ -198,7 +198,10 @@ func TestStegDBPartitionedSnapshotAtomic(t *testing.T) {
 					return
 				default:
 				}
-				p := (w*3 + i) % pairs
+				// Writer w owns the pairs of parity w: two writers moving
+				// tokens in the same pair would tear it between
+				// themselves, snapshots or not.
+				p := (2*i + w) % pairs
 				av := byte('0' + byte((i)%9))
 				bv := byte('0' + byte(8-(i)%9))
 				pt.snapGate.RLock()

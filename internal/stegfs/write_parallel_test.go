@@ -220,14 +220,29 @@ func TestSyncUnderWriteLoad(t *testing.T) {
 			}
 		}(w)
 	}
+	// The plain writer deletes and re-creates a fixed set of names, so its
+	// working set stays inside the central directory however many rounds
+	// it gets through before the Syncs finish. plainLast records each
+	// name's final content for the remount check.
+	const plainNames = 8
+	plainLast := make(map[string][]byte, plainNames)
 	wg.Add(1)
 	go func() { // plain writer crossing the same Sync barriers
 		defer wg.Done()
 		for r := 0; !stop.Load(); r++ {
-			if err := fs.Create(fmt.Sprintf("q%d", r), mkPayload(1500, byte(r))); err != nil {
-				errs <- fmt.Errorf("plain create %d: %w", r, err)
+			name := fmt.Sprintf("q%d", r%plainNames)
+			if r >= plainNames {
+				if err := fs.Delete(name); err != nil {
+					errs <- fmt.Errorf("plain delete %s (round %d): %w", name, r, err)
+					return
+				}
+			}
+			data := mkPayload(1500, byte(r))
+			if err := fs.Create(name, data); err != nil {
+				errs <- fmt.Errorf("plain create %s (round %d): %w", name, r, err)
 				return
 			}
+			plainLast[name] = data
 		}
 	}()
 	syncs := 0
@@ -276,9 +291,16 @@ func TestSyncUnderWriteLoad(t *testing.T) {
 			t.Fatalf("%s corrupted on remount", name)
 		}
 	}
-	for _, name := range fs2.PlainNames() {
-		if _, err := fs2.Read(name); err != nil {
+	if got := len(fs2.PlainNames()); got != len(plainLast) {
+		t.Fatalf("remount sees %d plain files, want %d", got, len(plainLast))
+	}
+	for name, want := range plainLast {
+		got, err := fs2.Read(name)
+		if err != nil {
 			t.Fatalf("plain %s on remount: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("plain %s corrupted on remount", name)
 		}
 	}
 }

@@ -9,8 +9,12 @@
 # Refresh the baseline deliberately, on a quiet machine, when a PR changes
 # the benched behavior on purpose:
 #   rm -f BENCH_seed.json
-#   go run ./cmd/stegbench -exp ablate-stegdb-write -scale small -json BENCH_seed.json
-#   go run ./cmd/stegbench -exp speed              -scale small -json BENCH_seed.json
+#   for exp in ablate-concurrency ablate-write-concurrency ablate-cached-write \
+#              ablate-stegdb ablate-stegdb-write speed; do
+#       go run ./cmd/stegbench -exp "$exp" -scale small -json BENCH_seed.json
+#   done
+# To refresh only some experiments, delete just their rows (jq select on
+# .experiment) and append a fresh run of each.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
