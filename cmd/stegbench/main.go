@@ -99,7 +99,7 @@ func main() {
 		files    = flag.Int("files", 0, "override number of files")
 		ops      = flag.Int("ops", 0, "override file operations per user")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		policy   = flag.String("cache-policy", "", "cache replacement policy for cached experiments: lru|arc|2q (default lru)")
+		policy   = flag.String("cache-policy", "", "cache replacement policy for cached experiments: lru|2q (default lru)")
 		jsonPath = flag.String("json", "", "append one JSON object per sweep row to this file (JSON Lines)")
 	)
 	flag.Parse()

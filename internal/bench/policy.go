@@ -30,7 +30,7 @@ type PolicyRow struct {
 // blocks that are re-read after every scan). The hot set fits in a few
 // hundred blocks, but the scan pushes the reuse distance beyond the cache
 // capacity, so a pure recency policy evicts every hot block just before its
-// next use. Scan-resistant policies keep the hot set resident.
+// next use. A scan-resistant policy (2Q) keeps the hot set resident.
 //
 // One unmeasured warm-up round lets each policy reach steady state (cold
 // compulsory misses are identical across policies and would only dilute the

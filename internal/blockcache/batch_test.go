@@ -228,42 +228,36 @@ func TestWriteDuringFetchWins(t *testing.T) {
 	}
 }
 
-// TestBatchPassThroughAndWriteThrough: cap-0 and write-through caches keep
-// their synchronous device semantics on the batch paths.
+// TestBatchPassThroughAndWriteThrough: a cap-0 cache keeps synchronous
+// device semantics on the batch paths. The write-through case went with the
+// write-through mode; write-back is now the only write mode.
 func TestBatchPassThroughAndWriteThrough(t *testing.T) {
-	for _, mode := range []string{"passthrough", "writethrough"} {
-		t.Run(mode, func(t *testing.T) {
-			store := fillStore(t, 64, 256)
-			var c *Cache
-			if mode == "passthrough" {
-				c = New(store, 0)
-			} else {
-				c = NewWriteThrough(store, 16)
-			}
-			ns := []int64{4, 2}
-			w := [][]byte{bytes.Repeat([]byte{1}, 256), bytes.Repeat([]byte{2}, 256)}
-			if err := c.WriteBlocks(ns, w); err != nil {
+	t.Run("passthrough", func(t *testing.T) {
+		store := fillStore(t, 64, 256)
+		c := New(store, 0)
+		ns := []int64{4, 2}
+		w := [][]byte{bytes.Repeat([]byte{1}, 256), bytes.Repeat([]byte{2}, 256)}
+		if err := c.WriteBlocks(ns, w); err != nil {
+			t.Fatal(err)
+		}
+		// The device already holds the data, no Flush needed.
+		got := make([]byte, 256)
+		for i, n := range ns {
+			if err := store.ReadBlock(n, got); err != nil {
 				t.Fatal(err)
 			}
-			// The device already holds the data, no Flush needed.
-			got := make([]byte, 256)
-			for i, n := range ns {
-				if err := store.ReadBlock(n, got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, w[i]) {
-					t.Fatalf("%s: block %d not on device", mode, n)
-				}
+			if !bytes.Equal(got, w[i]) {
+				t.Fatalf("block %d not on device", n)
 			}
-			r := [][]byte{make([]byte, 256), make([]byte, 256)}
-			if err := c.ReadBlocks(ns, r); err != nil {
-				t.Fatal(err)
+		}
+		r := [][]byte{make([]byte, 256), make([]byte, 256)}
+		if err := c.ReadBlocks(ns, r); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ns {
+			if !bytes.Equal(r[i], w[i]) {
+				t.Fatal("batch read wrong")
 			}
-			for i := range ns {
-				if !bytes.Equal(r[i], w[i]) {
-					t.Fatalf("%s: batch read wrong", mode)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -11,22 +11,19 @@
 //
 // # Replacement policies
 //
-// Eviction is delegated to a pluggable Policy. Three are built in:
+// Eviction is delegated to a pluggable Policy. Two are built in:
 //
 //   - "lru" — classic recency stack. Ideal once capacity covers the working
 //     set, but a cyclic scan even one block larger than the cache evicts
 //     every entry just before its reuse, collapsing to a 0% hit rate.
-//   - "arc" — adaptive replacement (Megiddo & Modha). Ghost lists detect
-//     whether recency or frequency deserved the space and re-balance
-//     continuously; repeatedly probed metadata survives data-block scans.
 //   - "2q" — two-queue (Johnson & Shasha). A small FIFO absorbs one-shot
 //     scan blocks; only blocks re-referenced after leaving the FIFO enter
-//     the protected LRU. Cheaper bookkeeping than ARC, no adaptation.
+//     the protected LRU.
 //
 // Under the StegFS hidden-file workload (long data scans interleaved with
-// hot header/p-tree/directory re-reads) ARC and 2Q retain the hot metadata
-// at capacities far below the total working set, where LRU caches nothing;
-// see the A4 ablation in ROADMAP.md. LRU remains the default.
+// hot header/p-tree/directory re-reads) 2Q retains the hot metadata at
+// capacities far below the total working set, where LRU caches nothing;
+// see the A4b ablation in ROADMAP.md. LRU remains the default.
 //
 // # The flush pipeline
 //
@@ -69,7 +66,7 @@ type Stats struct {
 	Hits         int64 // reads served from the cache
 	Misses       int64 // reads that went to the device
 	Evictions    int64 // entries displaced by capacity pressure
-	WriteBacks   int64 // dirty (or pass-through/write-through) blocks written to the device
+	WriteBacks   int64 // dirty (or pass-through) blocks written to the device
 	Flushes      int64 // explicit Flush/Sync barriers
 	WriteBehinds int64 // write-behind runs triggered by the high-water mark
 	FlushBatches int64 // batched (sorted, multi-block) flush submissions to the device
@@ -122,11 +119,8 @@ type Options struct {
 	// Capacity is the maximum number of resident blocks. <= 0 disables
 	// caching entirely (all I/O passes straight through).
 	Capacity int
-	// Policy names the replacement policy: "lru" (default), "arc" or "2q".
+	// Policy names the replacement policy: "lru" (default) or "2q".
 	Policy string
-	// WriteThrough makes every write reach the device synchronously; see
-	// NewWriteThrough.
-	WriteThrough bool
 	// WriteBehind is the dirty-block high-water mark. When more than this
 	// many dirty blocks accumulate, the flush pipeline writes dirty blocks
 	// back in ascending block order — lowest block numbers first, so the run
@@ -134,8 +128,7 @@ type Options struct {
 	// waiting for the next Flush. With FlushWorkers > 0 the runs are issued
 	// by background goroutines and the writer returns immediately; writers
 	// only stall once twice the mark is dirty (hard cap back-pressure).
-	// 0 disables write-behind. Ignored in write-through mode (nothing is
-	// ever deferred there).
+	// 0 disables write-behind.
 	WriteBehind int
 	// FlushWorkers sets the number of background flusher goroutines that
 	// service write-behind runs. 0 selects the default of 1; negative
@@ -155,18 +148,17 @@ type Options struct {
 // Cache is safe for concurrent use.
 type Cache struct {
 	// c.mu is a pure metadata lock: device I/O must never run under it
-	// (enforced by the noio flag). The four deliberate exceptions —
-	// pass-through, write-through and eviction write-back — carry audited
-	// lockcheck:ignore annotations at the call sites.
+	// (enforced by the noio flag). The three deliberate exceptions —
+	// pass-through writes, pass-through batches and eviction write-back —
+	// carry audited lockcheck:ignore annotations at the call sites.
 	//
 	// lockcheck:level 60 volume/cacheMu noio
-	mu           sync.Mutex
-	bgWake       *sync.Cond // wakes the background flushers (work or shutdown)
-	flushDone    *sync.Cond // signaled when a flush run completes (barriers, back-pressure)
-	dev          vdisk.Device
-	cap          int
-	writeThrough bool
-	highWater    int // write-behind high-water mark; 0 = disabled
+	mu        sync.Mutex
+	bgWake    *sync.Cond // wakes the background flushers (work or shutdown)
+	flushDone *sync.Cond // signaled when a flush run completes (barriers, back-pressure)
+	dev       vdisk.Device
+	cap       int
+	highWater int // write-behind high-water mark; 0 = disabled
 	// lockcheck:guardedby mu
 	workers int // background flusher goroutines (0 = synchronous write-behind)
 	// lockcheck:guardedby mu
@@ -212,19 +204,6 @@ func New(dev vdisk.Device, capacity int) *Cache {
 	return c
 }
 
-// NewWriteThrough wraps dev in a write-through LRU cache: reads are cached,
-// but every write goes to the device synchronously, so no data is ever
-// deferred and Flush is a no-op. Timing experiments use this mode so the
-// device clock charges every write inside the measurement window; callers
-// who want batched write-back with explicit barriers use New.
-func NewWriteThrough(dev vdisk.Device, capacity int) *Cache {
-	c, err := NewWithOptions(dev, Options{Capacity: capacity, WriteThrough: true})
-	if err != nil {
-		panic("blockcache: default options invalid: " + err.Error()) // unreachable
-	}
-	return c
-}
-
 // NewWithOptions wraps dev in a cache configured by o. It fails only on an
 // unknown policy name.
 func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
@@ -235,7 +214,7 @@ func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.WriteBehind < 0 || o.WriteThrough {
+	if o.WriteBehind < 0 {
 		o.WriteBehind = 0
 	}
 	workers := o.FlushWorkers
@@ -248,20 +227,19 @@ func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
 	if workers > maxFlushWorkers {
 		workers = maxFlushWorkers
 	}
-	if o.Capacity == 0 || o.WriteThrough || o.WriteBehind == 0 {
+	if o.Capacity == 0 || o.WriteBehind == 0 {
 		// Nothing is ever deferred ahead of a barrier without write-behind;
 		// keep the pool empty instead of idling goroutines.
 		workers = 0
 	}
 	c := &Cache{
-		dev:          dev,
-		cap:          o.Capacity,
-		writeThrough: o.WriteThrough,
-		highWater:    o.WriteBehind,
-		workers:      workers,
-		policy:       pol,
-		entries:      make(map[int64]*entry, o.Capacity),
-		inflight:     make(map[int64]*fetch),
+		dev:       dev,
+		cap:       o.Capacity,
+		highWater: o.WriteBehind,
+		workers:   workers,
+		policy:    pol,
+		entries:   make(map[int64]*entry, o.Capacity),
+		inflight:  make(map[int64]*fetch),
 	}
 	c.bgWake = sync.NewCond(&c.mu)
 	c.flushDone = sync.NewCond(&c.mu)
@@ -278,7 +256,7 @@ func (c *Cache) Device() vdisk.Device { return c.dev }
 // Capacity returns the maximum number of cached blocks.
 func (c *Cache) Capacity() int { return c.cap }
 
-// PolicyName returns the replacement policy in use ("lru", "arc", "2q").
+// PolicyName returns the replacement policy in use ("lru" or "2q").
 func (c *Cache) PolicyName() string {
 	// lockcheck:ignore the policy pointer is immutable after construction and Name is stateless; only policy STATE needs the mutex
 	return c.policy.Name()
@@ -395,8 +373,8 @@ func (c *Cache) ReadBlock(n int64, buf []byte) error {
 }
 
 // WriteBlock stores buf for block n in the cache, deferring the device write
-// to the flush pipeline (pass-through and write-through modes write to the
-// device immediately instead).
+// to the flush pipeline (a pass-through cache writes to the device
+// immediately instead).
 func (c *Cache) WriteBlock(n int64, buf []byte) error {
 	if len(buf) != c.dev.BlockSize() {
 		return fmt.Errorf("%w: %d != %d", vdisk.ErrBadBuffer, len(buf), c.dev.BlockSize())
@@ -414,20 +392,13 @@ func (c *Cache) WriteBlock(n int64, buf []byte) error {
 		c.stats.WriteBacks++
 		return nil
 	}
-	if c.writeThrough {
-		// lockcheck:ignore audited: write-through holds the mutex across the device write so the cached copy and the device never diverge
-		if err := c.dev.WriteBlock(n, buf); err != nil {
-			return err
-		}
-		c.stats.WriteBacks++
-	}
 	c.writeLocked(n, buf)
 	c.afterWriteLocked()
 	return nil
 }
 
-// writeLocked stores buf for block n in the resident set (caller holds c.mu
-// and has already handled pass-through/write-through device writes).
+// writeLocked stores buf for block n in the resident set as a dirty block
+// (caller holds c.mu; pass-through writes never get here).
 // lockcheck:holds volume/cacheMu
 func (c *Cache) writeLocked(n int64, buf []byte) {
 	if f, ok := c.inflight[n]; ok {
@@ -438,13 +409,13 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 	if e, ok := c.entries[n]; ok {
 		copy(e.data, buf)
 		e.gen++
-		if !c.writeThrough && !e.dirty {
+		if !e.dirty {
 			e.dirty = true
 			c.dirty++
 		}
 		c.policy.Touch(n)
 	} else {
-		c.insertLocked(n, buf, !c.writeThrough)
+		c.insertLocked(n, buf, true)
 	}
 }
 
@@ -609,9 +580,9 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 }
 
 // WriteBlocks implements vdisk.BatchDevice: the whole batch is absorbed
-// under one lock acquisition (pass-through and write-through modes issue a
-// single batched, sorted device submission first) and the write-behind
-// policy is applied once at the end.
+// under one lock acquisition (a pass-through cache issues a single batched,
+// sorted device submission instead) and the write-behind policy is applied
+// once at the end.
 func (c *Cache) WriteBlocks(ns []int64, bufs [][]byte) error {
 	if len(ns) != len(bufs) {
 		return fmt.Errorf("%w: %d block numbers, %d buffers", vdisk.ErrBadBuffer, len(ns), len(bufs))
@@ -628,15 +599,13 @@ func (c *Cache) WriteBlocks(ns []int64, bufs [][]byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap == 0 || c.writeThrough {
-		// lockcheck:ignore audited: pass/write-through batches hold the mutex across the device submission so the batch lands atomically w.r.t. cached state
+	if c.cap == 0 {
+		// lockcheck:ignore audited: pass-through batches hold the mutex across the device submission, serializing it exactly like a single spindle; there is no cached state to protect
 		if err := vdisk.WriteBlocks(c.dev, ns, bufs); err != nil {
 			return err
 		}
 		c.stats.WriteBacks += int64(len(ns))
-		if c.cap == 0 {
-			return nil
-		}
+		return nil
 	}
 	for i, n := range ns {
 		c.writeLocked(n, bufs[i])

@@ -342,56 +342,6 @@ func TestErrorPropagation(t *testing.T) {
 	})
 }
 
-func TestWriteThrough(t *testing.T) {
-	dev := newTraceDev(t, 64, 32)
-	c := NewWriteThrough(dev, 8)
-	// Every write reaches the device immediately, in issue order.
-	for _, n := range []int64{9, 3, 7} {
-		if err := c.WriteBlock(n, blockPayload(32, byte(n))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := dev.writes(); len(got) != 3 || got[0] != 9 || got[1] != 3 || got[2] != 7 {
-		t.Fatalf("write-through device writes = %v, want [9 3 7]", got)
-	}
-	if d := c.Dirty(); d != 0 {
-		t.Fatalf("write-through left %d dirty blocks", d)
-	}
-	// Reads of written blocks are hits (the write populated the cache).
-	buf := make([]byte, 32)
-	if err := c.ReadBlock(3, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, blockPayload(32, 3)) {
-		t.Fatal("write-through read-back mismatch")
-	}
-	if got := c.Stats(); got.Hits != 1 {
-		t.Fatalf("read after write-through write missed: %+v", got)
-	}
-	// Flush is a no-op: nothing deferred.
-	dev.resetWrites()
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := dev.writes(); len(got) != 0 {
-		t.Fatalf("flush of write-through cache wrote %v", got)
-	}
-	// A failed device write surfaces immediately and does not populate the
-	// cache with unpersisted data.
-	dev.writeErr = errors.New("injected")
-	if err := c.WriteBlock(11, blockPayload(32, 11)); err == nil {
-		t.Fatal("write-through swallowed device error")
-	}
-	dev.writeErr = nil
-	pre := c.Stats()
-	if err := c.ReadBlock(11, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats(); got.Misses != pre.Misses+1 {
-		t.Fatal("failed write left stale data in the cache")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	dev := newTraceDev(t, 16, 32)
 	c := New(dev, 8)

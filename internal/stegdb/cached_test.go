@@ -66,8 +66,10 @@ func TestTableThroughBlockCache(t *testing.T) {
 				t.Fatal(err)
 			}
 			view2 := fs2.NewHiddenView("db")
-			if err := view2.Adopt("accounts"); err != nil {
-				t.Fatalf("Adopt: %v", err)
+			for _, name := range []string{"accounts", "accounts.wal"} {
+				if err := view2.Adopt(name); err != nil {
+					t.Fatalf("Adopt: %v", err)
+				}
 			}
 			tbl2, err := OpenTable(view2, "accounts")
 			if err != nil {

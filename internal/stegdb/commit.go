@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"sync"
+
+	"stegfs/internal/fsapi"
 )
 
 // Commit pipeline: stegdb turns every Pager.Sync into an atomic commit via
@@ -348,16 +351,19 @@ func (p *Pager) releaseCommit(st *commitState) {
 
 // recoverWAL replays the journal into the home file if it holds a complete
 // commit. Called from OpenPager before the meta page is read, with the
-// pager unpublished. A missing/unreadable journal file only disables the
-// journaled commit path (walOK=false) — the home file is always complete
-// on its own.
+// pager unpublished. A missing journal and any device error reading it are
+// errors: skipping the replay of a valid, un-homed journal would open a
+// torn database. Only a journal body shorter than its header claims (a
+// short read, io.EOF) is benign — that is a commit torn before its
+// barrier, and the home file still holds the old epoch.
 func (p *Pager) recoverWAL() error {
 	var hdr [PageSize]byte
 	if _, err := p.view.ReadAt(p.walName, hdr[:], 0); err != nil {
-		p.walOK = false
-		return nil
+		if errors.Is(err, fsapi.ErrNotFound) {
+			return fmt.Errorf("stegdb: journal %q missing (adopt it with the database file): %w", p.walName, err)
+		}
+		return fmt.Errorf("stegdb: read journal %q header: %w", p.walName, err)
 	}
-	p.walOK = true
 	if string(hdr[:8]) != walMagic {
 		return nil // never committed, or header torn to garbage
 	}
@@ -371,7 +377,10 @@ func (p *Pager) recoverWAL() error {
 	}
 	journal := make([]byte, jlen)
 	if _, err := p.view.ReadAt(p.walName, journal, PageSize); err != nil {
-		return nil // journal shorter than the header claims: torn commit
+		if errors.Is(err, io.EOF) {
+			return nil // journal shorter than the header claims: torn commit
+		}
+		return fmt.Errorf("stegdb: read journal %q: %w", p.walName, err)
 	}
 	if crc64.Checksum(journal, walCRCTable) != binary.BigEndian.Uint64(hdr[walHdrJCRC:]) {
 		return nil // torn journal body: home file holds the old epoch

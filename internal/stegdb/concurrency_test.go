@@ -250,8 +250,10 @@ func TestStegDBSyncUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	view2 := fs2.NewHiddenView("db")
-	if err := view2.Adopt("t"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"t", "t.wal"} {
+		if err := view2.Adopt(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tab2, err := OpenTable(view2, "t")
 	if err != nil {

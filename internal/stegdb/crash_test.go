@@ -9,7 +9,8 @@ import (
 )
 
 // Group-commit crash consistency: a partitioned table's Sync is run with a
-// vdisk.CutStore dropping every device write past a cut point, the
+// vdisk.FaultStore cut (TearAfter(n, 0)) dropping every device write past
+// the cut point, the
 // surviving image is remounted (journal recovery runs at open), and the
 // table must be at exactly the old or the new epoch PER PARTITION — never
 // a mix within one partition — at every cut point across the commit's
@@ -42,13 +43,13 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := vdisk.NewCutStore(mem)
+	store := vdisk.NewFaultStore(mem, 1)
 	p := stegfs.DefaultParams()
 	p.NDummy = 2
 	p.DummyAvgSize = 8 << 10
 	p.DeterministicKeys = true
 	p.Seed = 42
-	fs, err := stegfs.Format(cs, p)
+	fs, err := stegfs.Format(store, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +84,9 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 			t.Fatal(err)
 		}
 	}
-	pre := cs.Writes()
+	pre := store.Writes()
 	if cutAt >= 0 {
-		cs.CutAfter(cutAt)
+		store.TearAfter(cutAt, 0)
 	}
 	// With the cut armed the live mount may observe its own dropped writes
 	// as stale reads and surface an error — that IS the crash; only the
@@ -93,7 +94,7 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 	if err := pt.Sync(); err != nil && cutAt < 0 {
 		t.Fatalf("probe Sync: %v", err)
 	}
-	return mem.Snapshot(), cs.Writes() - pre
+	return mem.Snapshot(), store.Writes() - pre
 }
 
 // verifyPartitionedCrash remounts a surviving image (running journal
@@ -208,13 +209,13 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := vdisk.NewCutStore(mem)
+		store := vdisk.NewFaultStore(mem, 1)
 		p := stegfs.DefaultParams()
 		p.NDummy = 2
 		p.DummyAvgSize = 8 << 10
 		p.DeterministicKeys = true
 		p.Seed = 42
-		fs, err := stegfs.Format(cs, p)
+		fs, err := stegfs.Format(store, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cs.CutAfter(cut)
+		store.TearAfter(cut, 0)
 		_ = tab.Sync() // may error: the mount sees its own dropped writes
 
 		mem2, err := vdisk.NewMemStore(crashBlocks, crashBS)

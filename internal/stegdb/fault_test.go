@@ -235,3 +235,28 @@ func TestStegDBFaultSyncRetry(t *testing.T) {
 	}
 	verifyAgainst(t, tab, ref)
 }
+
+// TestStegDBFaultOpenJournalRead: a device fault reading the journal at
+// open must fail OpenPager. Treating it as "no journal" (or as a torn
+// commit) would skip the replay of a valid, un-homed journal and open a
+// torn database. The first read is the journal header, the second its
+// body (a committed journal stays valid and replays idempotently).
+func TestStegDBFaultOpenJournalRead(t *testing.T) {
+	tab, ev, ref := faultTable(t, 40)
+	for _, k := range []int{1, 2} {
+		ev.arm("read", k)
+		_, err := OpenPager(ev, "ft")
+		fired := ev.didFire()
+		ev.arm("", 0)
+		if !fired {
+			t.Fatalf("read %d: fault never fired", k)
+		}
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("read %d faulted: OpenPager = %v, want the injected error", k, err)
+		}
+	}
+	if _, err := OpenPager(ev, "ft"); err != nil {
+		t.Fatalf("clean OpenPager: %v", err)
+	}
+	verifyAgainst(t, tab, ref)
+}

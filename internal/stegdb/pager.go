@@ -98,12 +98,8 @@ type Pager struct {
 	view View
 	name string
 
-	// walName is the sibling journal file; walOK records whether it exists
-	// and is writable. When it does not (a database adopted without its
-	// journal), Sync degrades to the legacy flush path, which is correct
-	// for clean shutdowns but not torn-crash-atomic.
+	// walName is the sibling journal file every commit goes through.
 	walName string
-	walOK   bool
 
 	// commitMu serializes the commit pipeline of this pager (journal write
 	// through home writes). It is held across hidden-file I/O by design and
@@ -181,7 +177,6 @@ func CreatePager(view View, name string) (*Pager, error) {
 	if err := view.Create(p.walName, make([]byte, PageSize)); err != nil {
 		return nil, fmt.Errorf("stegdb: create journal: %w", err)
 	}
-	p.walOK = true
 	// lockcheck:ignore the pager has not been published yet; CreatePager has it to itself
 	copy(p.meta[:], pagerMagic)
 	// lockcheck:ignore the pager has not been published yet; CreatePager has it to itself
@@ -193,10 +188,12 @@ func CreatePager(view View, name string) (*Pager, error) {
 }
 
 // OpenPager opens an existing database file, first replaying the sibling
-// journal if it holds a complete commit (crash recovery). A database
-// adopted without its journal file still opens — every commit lands fully
-// in the home file before the journal is needed again — but runs with the
-// legacy non-atomic Sync until recreated.
+// journal if it holds a complete commit (crash recovery). The journal
+// (name + ".wal") must be reachable through view — adopt it alongside the
+// database file — or OpenPager fails naming it: every Sync commits through
+// it. A journal that cannot be read is an error too, never a skipped
+// replay, since a valid un-homed journal may hold the only copy of the
+// last commit.
 func OpenPager(view View, name string) (*Pager, error) {
 	p := newPager(view, name)
 	if err := p.recoverWAL(); err != nil {
@@ -235,7 +232,7 @@ func (p *Pager) metaField(off int) int64 {
 }
 
 // setMetaField updates one meta page field. The change is write-back: it
-// reaches the device at the next Sync/FlushMeta.
+// reaches the device at the next Sync.
 func (p *Pager) setMetaField(off int, v int64) {
 	p.metaMu.Lock()
 	p.setMeta(off, v)
@@ -279,13 +276,12 @@ func (p *Pager) Rows() int64 { return p.metaField(metaRows) }
 // frames; dirty frames stay cached until the next commit (no-steal).
 func (p *Pager) SetPageCacheSize(n int) { p.cache.setCap(n) }
 
-// InvalidatePageCache flushes every dirty page and drops all unpinned
-// frames, so subsequent reads go back through the hidden file. Benchmarks
-// use it to restore a cold-cache state between measurement windows. The
-// flush bypasses the commit journal, so it is a maintenance path: call it
-// only at quiescent points, never as a durability barrier.
+// InvalidatePageCache commits every dirty page (a full Sync) and drops all
+// unpinned frames, so subsequent reads go back through the hidden file.
+// Benchmarks use it to restore a cold-cache state between measurement
+// windows; at a quiescent point after a Sync the commit is empty.
 func (p *Pager) InvalidatePageCache() error {
-	if err := p.FlushPages(); err != nil {
+	if err := p.Sync(); err != nil {
 		return err
 	}
 	p.cache.dropClean()
@@ -364,41 +360,6 @@ func (p *Pager) WritePage(id int64, buf []byte) error {
 	return nil
 }
 
-// FlushPages writes every dirty frame back to the hidden file, coalescing
-// runs of consecutive page ids into single vectored writes. Frames
-// re-dirtied mid-flush stay dirty (write-wins via per-frame generations).
-func (p *Pager) FlushPages() error {
-	dirty := p.cache.dirtyEntries()
-	defer func() {
-		for _, e := range dirty {
-			p.cache.unpin(e)
-		}
-	}()
-	for i := 0; i < len(dirty); {
-		j := i + 1
-		for j < len(dirty) && dirty[j].id == dirty[j-1].id+1 {
-			j++
-		}
-		run := dirty[i:j]
-		buf := make([]byte, len(run)*PageSize)
-		gens := make([]uint64, len(run))
-		for k, e := range run {
-			e.latch.RLock()
-			copy(buf[k*PageSize:], e.buf[:])
-			gens[k] = p.cache.gen(e)
-			e.latch.RUnlock()
-		}
-		if _, err := p.view.WriteAt(p.name, buf, run[0].id*PageSize); err != nil {
-			return err
-		}
-		for k, e := range run {
-			p.cache.clearDirty(e, gens[k])
-		}
-		i = j
-	}
-	return nil
-}
-
 // AllocPage returns a zeroed page, reusing the free list when possible.
 // Atomic against concurrent allocators and frees.
 func (p *Pager) AllocPage() (int64, error) {
@@ -458,33 +419,8 @@ func (p *Pager) FreePage(id int64) error {
 // consistent cut of the dirty pages plus the meta page, barriers, writes
 // everything home, and barriers again. After a torn crash anywhere inside,
 // recovery at OpenPager leaves the database at exactly the old or the new
-// epoch. When the journal file is unavailable (walOK false), Sync falls
-// back to the legacy flush path: durable on success, but a torn crash
-// mid-flush can mix epochs.
-func (p *Pager) Sync() error {
-	if !p.walOK {
-		return p.legacySync()
-	}
-	return p.gc.do(p.commitOnce)
-}
-
-// legacySync is the pre-journal durability path: dirty pages out (data
-// before metadata), then the meta page, then the underlying volume.
-func (p *Pager) legacySync() error {
-	if err := p.FlushPages(); err != nil {
-		return err
-	}
-	p.metaMu.Lock()
-	err := p.flushMetaLocked()
-	p.metaMu.Unlock()
-	if err != nil {
-		return err
-	}
-	// A Sync opens a new epoch, so snapshots taken afterwards are pinned at
-	// a post-Sync boundary.
-	p.bumpEpoch()
-	return p.view.Sync()
-}
+// epoch.
+func (p *Pager) Sync() error { return p.gc.do(p.commitOnce) }
 
 // bumpEpoch opens a new epoch after a commit, so snapshots taken afterwards
 // are pinned at a post-commit boundary.

@@ -188,7 +188,7 @@ func (pt *PartitionedTable) SetPageCacheSize(frames int) {
 	}
 }
 
-// InvalidatePageCache flushes and drops every partition pager's page cache
+// InvalidatePageCache commits and drops every partition pager's page cache
 // (a maintenance/benchmark reset; see Pager.InvalidatePageCache).
 func (pt *PartitionedTable) InvalidatePageCache() error {
 	for _, t := range pt.parts {

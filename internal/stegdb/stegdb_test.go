@@ -2,12 +2,15 @@ package stegdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"stegfs/internal/fsapi"
 	"stegfs/internal/stegfs"
 	"stegfs/internal/vdisk"
 )
@@ -130,6 +133,38 @@ func TestPagerPersistence(t *testing.T) {
 	}
 	if _, err := OpenPager(view, "nosuch"); err == nil {
 		t.Fatal("opening a missing database should fail")
+	}
+}
+
+// TestOpenPagerRequiresJournal: every Sync commits through the ".wal"
+// sibling, so opening a database whose journal the view cannot reach fails
+// with an error naming the journal, and opens once it is adopted.
+func TestOpenPagerRequiresJournal(t *testing.T) {
+	view, store := newView(t, 16<<10)
+	pg, err := CreatePager(view, "db1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := stegfs.Mount(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view2 := fs2.NewHiddenView("db")
+	if err := view2.Adopt("db1"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenPager(view2, "db1")
+	if !errors.Is(err, fsapi.ErrNotFound) || !strings.Contains(err.Error(), `"db1.wal"`) {
+		t.Fatalf("OpenPager without its journal = %v, want a not-found error naming db1.wal", err)
+	}
+	if err := view2.Adopt("db1.wal"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenPager(view2, "db1"); err != nil {
+		t.Fatalf("OpenPager with its journal adopted: %v", err)
 	}
 }
 
@@ -433,8 +468,10 @@ func TestTablePersistenceAcrossRemount(t *testing.T) {
 		t.Fatal(err)
 	}
 	view2 := fs2.NewHiddenView("db")
-	if err := view2.Adopt("t"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"t", "t.wal"} {
+		if err := view2.Adopt(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tab2, err := OpenTable(view2, "t")
 	if err != nil {

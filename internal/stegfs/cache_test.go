@@ -3,6 +3,7 @@ package stegfs
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"stegfs/internal/vdisk"
@@ -175,5 +176,24 @@ func TestCacheHitsOnRepeatedReads(t *testing.T) {
 	}
 	if cached >= uncached {
 		t.Fatalf("cached repeated reads (%.6fs) not faster than uncached (%.6fs)", cached, uncached)
+	}
+}
+
+// TestCachePolicyRejectsUnknownNames: a mount asking for a policy the cache
+// does not implement fails at Format with an error naming the valid
+// choices, cached or not.
+func TestCachePolicyRejectsUnknownNames(t *testing.T) {
+	for _, capacity := range []int{0, 64} {
+		store, err := vdisk.NewMemStore(4096, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := DefaultParams()
+		p.NDummy = 0
+		p.FillVolume = false
+		_, err = Format(store, p, WithCache(capacity), WithCachePolicy("arc"))
+		if err == nil || !strings.Contains(err.Error(), "lru, 2q") {
+			t.Fatalf("Format with cache policy arc (cache=%d) = %v, want an error listing lru, 2q", capacity, err)
+		}
 	}
 }

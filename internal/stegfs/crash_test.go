@@ -8,12 +8,13 @@ import (
 	"stegfs/internal/vdisk"
 )
 
-// Crash-consistency harness: the volume sits on a vdisk.CutStore, which
-// silently drops every device write after a cut point — a power cut that
-// strikes mid-Sync. The tests pin FS.Sync's data-before-metadata barrier
-// WITH the write-behind pipeline and its background flusher active: no cut
-// point may ever leave the on-device superblock/bitmap referencing state
-// whose data never reached the device.
+// Crash-consistency harness: the volume sits on a vdisk.FaultStore armed
+// with a clean cut (TearAfter(n, 0)), which silently drops every device
+// write after the cut point — a power cut that strikes mid-Sync. The tests
+// pin FS.Sync's data-before-metadata barrier WITH the write-behind pipeline
+// and its background flusher active: no cut point may ever leave the
+// on-device superblock/bitmap referencing state whose data never reached
+// the device.
 
 const (
 	crashBlocks   = 2048
@@ -55,8 +56,8 @@ func runCrashScenario(t *testing.T, cutAt int64, flushWorkers int) (img []byte, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := vdisk.NewCutStore(mem)
-	fs, err := Format(cs, crashParams(),
+	cut := vdisk.NewFaultStore(mem, 1)
+	fs, err := Format(cut, crashParams(),
 		WithCache(crashCacheCap), WithWriteBehind(crashWBehind, flushWorkers))
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +85,14 @@ func runCrashScenario(t *testing.T, cutAt int64, flushWorkers int) (img []byte, 
 		}
 	}
 
-	pre := cs.Writes()
+	pre := cut.Writes()
 	if cutAt >= 0 {
-		cs.CutAfter(cutAt)
+		cut.TearAfter(cutAt, 0)
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatalf("Sync with cut at %d: %v", cutAt, err)
 	}
-	img, window := mem.Snapshot(), cs.Writes()-pre
+	img, window := mem.Snapshot(), cut.Writes()-pre
 	// Stop the mount's background flusher (its writes land past the cut and
 	// after the snapshot, so they cannot perturb the crash image).
 	if err := fs.Close(); err != nil {
@@ -306,8 +307,8 @@ func TestSyncWriteOrderDataBeforeMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := vdisk.NewCutStore(mem)
-	fs, err := Format(cs, crashParams(), WithCache(crashCacheCap), WithWriteBehind(crashWBehind))
+	cut := vdisk.NewFaultStore(mem, 1)
+	fs, err := Format(cut, crashParams(), WithCache(crashCacheCap), WithWriteBehind(crashWBehind))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +326,11 @@ func TestSyncWriteOrderDataBeforeMetadata(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs.StartTrace()
+	cut.StartTrace()
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	trace := cs.StopTrace()
+	trace := cut.StopTrace()
 	if len(trace) == 0 {
 		t.Fatal("Sync issued no device writes")
 	}

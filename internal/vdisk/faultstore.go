@@ -6,9 +6,10 @@ import (
 	"sync"
 )
 
-// FaultStore wraps a Store with deterministic, seeded fault injection — the
-// fault-tolerance sibling of CutStore. Four failure modes are supported, all
-// drawn from one seeded PRNG so a run is exactly reproducible:
+// FaultStore wraps a Store with deterministic, seeded fault injection for
+// the fault-tolerance and crash-consistency tests. Four failure modes are
+// supported, all drawn from one seeded PRNG so a run is exactly
+// reproducible:
 //
 //   - transient errors: each read/write independently fails with a configured
 //     probability; once a request faults it keeps failing until it has been
@@ -26,17 +27,22 @@ import (
 //     everything after the window is dropped — a device cache that had
 //     reordered its queue and committed a random subset before power failed.
 //     Per-block old-or-new atomicity is preserved (sector atomicity), only
-//     cross-block ordering is lost.
+//     cross-block ordering is lost. A window of 0 is a clean cut: the first
+//     n writes land and every later one is acknowledged but dropped — a
+//     power cut striking mid-barrier, which the crash harnesses sweep
+//     across a whole Sync's write stream.
 //
 // Batch writes arriving via Disk reach the store one block at a time, so both
 // the torn window and the transient coin apply at per-block granularity —
-// exactly how a real device commits.
+// exactly how a real device commits. StartTrace/StopTrace record the block
+// numbers of applied writes in submission order, so a test can pin write
+// ordering (data blocks before the superblock/bitmap) at the device.
 type FaultStore struct {
 	store Store
 
 	// f.mu is deliberately NOT noio: the injection decision and the wrapped
-	// store call stay under one mutex hold so the fault schedule is exact
-	// under concurrent callers, mirroring CutStore's cut-point guarantee.
+	// store call stay under one mutex hold so the fault schedule — and a
+	// cut point — is exact under concurrent callers.
 	//
 	// lockcheck:level 65 volume/faultMu
 	mu sync.Mutex
@@ -72,6 +78,10 @@ type FaultStore struct {
 	tornWindow int64 // coin-flip writes remaining in the torn window
 	// lockcheck:guardedby mu
 	writes int64 // writes applied to the wrapped store
+	// lockcheck:guardedby mu
+	trace []int64 // applied-write block numbers while tracing
+	// lockcheck:guardedby mu
+	tracing bool
 	// lockcheck:guardedby mu
 	stats FaultStats
 }
@@ -203,6 +213,25 @@ func (f *FaultStore) Writes() int64 {
 	return f.writes
 }
 
+// StartTrace begins recording the block number of every applied write, in
+// submission order.
+func (f *FaultStore) StartTrace() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.trace = nil
+	f.tracing = true
+}
+
+// StopTrace stops recording and returns the applied-write trace.
+func (f *FaultStore) StopTrace() []int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tracing = false
+	out := f.trace
+	f.trace = nil
+	return out
+}
+
 // Stats returns a copy of the injected-fault counters.
 func (f *FaultStore) Stats() FaultStats {
 	f.mu.Lock()
@@ -308,6 +337,9 @@ func (f *FaultStore) WriteBlock(n int64, buf []byte) error {
 	}
 	delete(f.flips, n) // a fresh write heals bit rot
 	f.writes++
+	if f.tracing {
+		f.trace = append(f.trace, n)
+	}
 	return nil
 }
 

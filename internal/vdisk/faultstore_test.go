@@ -3,6 +3,8 @@ package vdisk
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -202,5 +204,134 @@ func TestFaultStoreErrorsClassify(t *testing.T) {
 	}
 	if IsFault(ErrOutOfRange) || IsFault(ErrBadBuffer) || IsFault(nil) {
 		t.Fatal("usage errors must not classify as faults")
+	}
+}
+
+// TestFaultStoreCutDropsWritesAfterCut: TearAfter(n, 0) is a clean cut —
+// the next n writes land, every later write is acknowledged but never
+// reaches the store, reads pass through, and Disarm lifts the cut.
+func TestFaultStoreCutDropsWritesAfterCut(t *testing.T) {
+	mem, err := NewMemStore(16, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFaultStore(mem, 1)
+	pay := func(tag byte) []byte { return bytes.Repeat([]byte{tag}, 32) }
+
+	fs.TearAfter(2, 0)
+	for i := int64(0); i < 4; i++ {
+		if err := fs.WriteBlock(i, pay(byte(1+i))); err != nil {
+			t.Fatalf("write %d: %v (dropped writes must still acknowledge)", i, err)
+		}
+	}
+	if got := fs.Writes(); got != 2 {
+		t.Fatalf("applied writes = %d, want 2", got)
+	}
+	st := fs.Stats()
+	if st.Dropped != 2 || st.TornApplied != 0 || st.TornDropped != 0 {
+		t.Fatalf("cut stats = %+v, want exactly 2 post-cut drops", st)
+	}
+	// Blocks 0-1 persisted; blocks 2-3 never reached the store.
+	buf := make([]byte, 32)
+	for i := int64(0); i < 4; i++ {
+		if err := fs.ReadBlock(i, buf); err != nil {
+			t.Fatal(err)
+		}
+		want := pay(byte(1 + i))
+		if i >= 2 {
+			want = make([]byte, 32)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("block %d content wrong after cut", i)
+		}
+	}
+	fs.Disarm()
+	if err := fs.WriteBlock(5, pay(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReadBlock(5, buf); err != nil || !bytes.Equal(buf, pay(9)) {
+		t.Fatalf("write after Disarm lost (err=%v)", err)
+	}
+}
+
+// TestFaultStoreTraceOrder: the trace lists applied writes in submission
+// order — not sorted, duplicates kept — and leaves out writes that failed
+// or fell past a cut.
+func TestFaultStoreTraceOrder(t *testing.T) {
+	_, fs := newFaultFixture(t)
+	buf := fillBlock(3, 512)
+	fs.FailWrite(4)
+	fs.StartTrace()
+	for _, n := range []int64{9, 2, 4, 7, 2} {
+		_ = fs.WriteBlock(n, buf) // block 4 fails permanently
+	}
+	fs.TearAfter(1, 0)
+	for _, n := range []int64{5, 6} {
+		if err := fs.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trace := fs.StopTrace()
+	want := []int64{9, 2, 7, 2, 5}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("trace = %v, want %v", trace, want)
+	}
+	if err := fs.WriteBlock(8, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.StopTrace(); got != nil {
+		t.Fatalf("stopped trace still recording: %v", got)
+	}
+}
+
+// TestFaultStoreCutExactUnderConcurrentWriters: with many goroutines racing
+// through a cut, exactly the budgeted number of writes reach the store —
+// no more, no fewer — and the trace names exactly the blocks that changed.
+func TestFaultStoreCutExactUnderConcurrentWriters(t *testing.T) {
+	const workers, perWorker, budget = 8, 32, 100
+	mem, err := NewMemStore(workers*perWorker, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFaultStore(mem, 1)
+	fs.StartTrace()
+	fs.TearAfter(budget, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := bytes.Repeat([]byte{0xEE}, 32)
+			for i := 0; i < perWorker; i++ {
+				if err := fs.WriteBlock(int64(w*perWorker+i), buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	trace := fs.StopTrace()
+	if got := fs.Writes(); got != budget {
+		t.Fatalf("applied writes = %d, want exactly %d", got, budget)
+	}
+	if got := fs.Stats().Dropped; got != workers*perWorker-budget {
+		t.Fatalf("dropped writes = %d, want %d", got, workers*perWorker-budget)
+	}
+	if len(trace) != budget {
+		t.Fatalf("trace has %d writes, want %d", len(trace), budget)
+	}
+	traced := make(map[int64]bool, len(trace))
+	for _, n := range trace {
+		traced[n] = true
+	}
+	buf := make([]byte, 32)
+	for n := int64(0); n < workers*perWorker; n++ {
+		if err := mem.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if written := buf[0] == 0xEE; written != traced[n] {
+			t.Fatalf("block %d: on store=%v, traced=%v", n, written, traced[n])
+		}
 	}
 }

@@ -9,8 +9,9 @@
 # Refresh the baseline deliberately, on a quiet machine, when a PR changes
 # the benched behavior on purpose:
 #   rm -f BENCH_seed.json
-#   for exp in ablate-concurrency ablate-write-concurrency ablate-cached-write \
-#              ablate-stegdb ablate-stegdb-write speed; do
+#   for exp in ablate-cache ablate-policy ablate-concurrency \
+#              ablate-write-concurrency ablate-cached-write ablate-stegdb \
+#              ablate-stegdb-write speed; do
 #       go run ./cmd/stegbench -exp "$exp" -scale small -json BENCH_seed.json
 #   done
 # To refresh only some experiments, delete just their rows (jq select on
