@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"stegfs/internal/vdisk"
 )
@@ -174,10 +176,12 @@ type gatedStore struct {
 	gate    chan struct{} // closed to release
 	entered chan struct{} // signaled when the gated read begins
 	block   int64
+	fetches atomic.Int64 // device reads of the gated block
 }
 
 func (g *gatedStore) ReadBlock(n int64, buf []byte) error {
 	if n == g.block {
+		g.fetches.Add(1)
 		g.entered <- struct{}{}
 		<-g.gate
 	}
@@ -228,36 +232,59 @@ func TestWriteDuringFetchWins(t *testing.T) {
 	}
 }
 
-// TestBatchPassThroughAndWriteThrough: a cap-0 cache keeps synchronous
-// device semantics on the batch paths. The write-through case went with the
-// write-through mode; write-back is now the only write mode.
-func TestBatchPassThroughAndWriteThrough(t *testing.T) {
-	t.Run("passthrough", func(t *testing.T) {
-		store := fillStore(t, 64, 256)
-		c := New(store, 0)
-		ns := []int64{4, 2}
-		w := [][]byte{bytes.Repeat([]byte{1}, 256), bytes.Repeat([]byte{2}, 256)}
-		if err := c.WriteBlocks(ns, w); err != nil {
-			t.Fatal(err)
+// TestReadBlockJoinsBatchFetch: a ReadBlock miss racing a ReadBlocks batch
+// on the same cold block waits for the batch's fetch instead of issuing its
+// own — one device read serves both.
+func TestReadBlockJoinsBatchFetch(t *testing.T) {
+	mem := fillStore(t, 64, 256)
+	gs := &gatedStore{MemStore: mem, gate: make(chan struct{}), entered: make(chan struct{}, 1), block: 21}
+	c := New(gs, 16)
+
+	ns := []int64{20, 21, 22}
+	bufs := [][]byte{make([]byte, 256), make([]byte, 256), make([]byte, 256)}
+	batchErr := make(chan error, 1)
+	go func() { batchErr <- c.ReadBlocks(ns, bufs) }()
+	<-gs.entered // the batch's fetch of block 21 is parked in the device
+
+	buf := make([]byte, 256)
+	single := make(chan error, 1)
+	go func() { single <- c.ReadBlock(21, buf) }()
+	select {
+	case err := <-single:
+		t.Fatalf("ReadBlock returned (%v) while the batch's fetch was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gs.gate)
+
+	if err := <-batchErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-single; err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range ns {
+		if !bytes.Equal(bufs[i], expectBlock(n, 256)) {
+			t.Fatalf("batch block %d wrong", n)
 		}
-		// The device already holds the data, no Flush needed.
-		got := make([]byte, 256)
-		for i, n := range ns {
-			if err := store.ReadBlock(n, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, w[i]) {
-				t.Fatalf("block %d not on device", n)
-			}
+	}
+	if !bytes.Equal(buf, expectBlock(21, 256)) {
+		t.Fatal("ReadBlock returned wrong bytes")
+	}
+	if got := gs.fetches.Load(); got != 1 {
+		t.Fatalf("%d device fetches of block 21, want 1", got)
+	}
+	if st := c.Stats(); st.Misses != 3 || st.Hits != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/3", st.Hits, st.Misses)
+	}
+}
+
+// TestCapacityMustBePositive: there is no pass-through mode; a cache needs
+// room for at least one block.
+func TestCapacityMustBePositive(t *testing.T) {
+	store := fillStore(t, 8, 256)
+	for _, capacity := range []int{0, -1} {
+		if c, err := NewWithOptions(store, Options{Capacity: capacity}); err == nil {
+			t.Fatalf("capacity %d accepted: %v", capacity, c)
 		}
-		r := [][]byte{make([]byte, 256), make([]byte, 256)}
-		if err := c.ReadBlocks(ns, r); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ns {
-			if !bytes.Equal(r[i], w[i]) {
-				t.Fatal("batch read wrong")
-			}
-		}
-	})
+	}
 }

@@ -25,6 +25,14 @@
 // capacities far below the total working set, where LRU caches nothing;
 // see the A4b ablation in ROADMAP.md. LRU remains the default.
 //
+// # Reads
+//
+// There is one miss path. ReadBlock serves a hit under one lock hold without
+// allocating and hands a miss to ReadBlocks, which fetches every miss of a
+// batch in one sorted device request outside the cache mutex, deduplicates
+// concurrent fetches of the same block (single-flight) and lets a write that
+// races a fetch win.
+//
 // # The flush pipeline
 //
 // All deferred device writes run through one pipeline: dirty entries are
@@ -66,7 +74,7 @@ type Stats struct {
 	Hits         int64 // reads served from the cache
 	Misses       int64 // reads that went to the device
 	Evictions    int64 // entries displaced by capacity pressure
-	WriteBacks   int64 // dirty (or pass-through) blocks written to the device
+	WriteBacks   int64 // dirty blocks written to the device (flush runs and eviction)
 	Flushes      int64 // explicit Flush/Sync barriers
 	WriteBehinds int64 // write-behind runs triggered by the high-water mark
 	FlushBatches int64 // batched (sorted, multi-block) flush submissions to the device
@@ -116,8 +124,8 @@ const maxFlushWorkers = 16
 
 // Options configures a Cache built with NewWithOptions.
 type Options struct {
-	// Capacity is the maximum number of resident blocks. <= 0 disables
-	// caching entirely (all I/O passes straight through).
+	// Capacity is the maximum number of resident blocks; it must be
+	// positive.
 	Capacity int
 	// Policy names the replacement policy: "lru" (default) or "2q".
 	Policy string
@@ -142,15 +150,13 @@ type Options struct {
 // Cache is a block cache over a vdisk.Device with a pluggable replacement
 // policy. It implements vdisk.Device itself, so every layer written against
 // the device interface (plainfs, stegfs, stegdb's pager via hidden files)
-// runs through it unchanged. A Cache with capacity 0 is a transparent
-// pass-through.
+// runs through it unchanged.
 //
 // Cache is safe for concurrent use.
 type Cache struct {
 	// c.mu is a pure metadata lock: device I/O must never run under it
-	// (enforced by the noio flag). The three deliberate exceptions —
-	// pass-through writes, pass-through batches and eviction write-back —
-	// carry audited lockcheck:ignore annotations at the call sites.
+	// (enforced by the noio flag). The one deliberate exception, eviction
+	// write-back, carries an audited lockcheck:ignore at its call site.
 	//
 	// lockcheck:level 60 volume/cacheMu noio
 	mu        sync.Mutex
@@ -166,7 +172,7 @@ type Cache struct {
 	// lockcheck:guardedby mu
 	entries map[int64]*entry
 	// lockcheck:guardedby mu
-	inflight map[int64]*fetch // miss fetches in progress (see ReadBlock)
+	inflight map[int64]*fetch // miss fetches in progress (see ReadBlocks)
 	// lockcheck:guardedby mu
 	dirty int // resident dirty blocks (staged ones included)
 	// lockcheck:guardedby mu
@@ -194,21 +200,21 @@ type fetch struct {
 	stale bool // a WriteBlock for this block landed while the fetch was in flight
 }
 
-// New wraps dev in a write-back LRU cache holding up to capacity blocks.
-// capacity <= 0 disables caching entirely (all I/O passes straight through).
+// New wraps dev in a write-back LRU cache holding up to capacity blocks. It
+// panics if capacity is not positive.
 func New(dev vdisk.Device, capacity int) *Cache {
 	c, err := NewWithOptions(dev, Options{Capacity: capacity})
 	if err != nil {
-		panic("blockcache: default options invalid: " + err.Error()) // unreachable
+		panic(err)
 	}
 	return c
 }
 
-// NewWithOptions wraps dev in a cache configured by o. It fails only on an
-// unknown policy name.
+// NewWithOptions wraps dev in a cache configured by o. It fails on a
+// capacity that is not positive and on an unknown policy name.
 func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
-	if o.Capacity < 0 {
-		o.Capacity = 0
+	if o.Capacity <= 0 {
+		return nil, fmt.Errorf("blockcache: capacity %d, want > 0", o.Capacity)
 	}
 	pol, err := NewPolicy(o.Policy, o.Capacity)
 	if err != nil {
@@ -227,7 +233,7 @@ func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
 	if workers > maxFlushWorkers {
 		workers = maxFlushWorkers
 	}
-	if o.Capacity == 0 || o.WriteBehind == 0 {
+	if o.WriteBehind == 0 {
 		// Nothing is ever deferred ahead of a barrier without write-behind;
 		// keep the pool empty instead of idling goroutines.
 		workers = 0
@@ -300,81 +306,26 @@ func (c *Cache) FlushInFlight() int {
 }
 
 // ReadBlock reads block n into buf, serving from the cache when possible.
-//
-// A miss releases the cache lock while the device request runs, so
-// concurrent misses on distinct blocks overlap at the device instead of
-// convoying behind one mutex. Concurrent misses on the same block are
-// deduplicated: one caller fetches, the rest wait for it and are then served
-// from the cache. A write that lands while a fetch is in flight wins — the
-// cached (written) data is returned and the stale fetched bytes are
-// discarded — so read-your-writes holds even across the unlocked window.
+// A hit is served under one lock hold without allocating; a miss is a
+// one-block ReadBlocks, with its single-flight and write-wins rules.
 func (c *Cache) ReadBlock(n int64, buf []byte) error {
 	if len(buf) != c.dev.BlockSize() {
 		return fmt.Errorf("%w: %d != %d", vdisk.ErrBadBuffer, len(buf), c.dev.BlockSize())
 	}
-	if c.cap == 0 {
-		if err := c.dev.ReadBlock(n, buf); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.stats.Misses++
+	c.mu.Lock()
+	if e, ok := c.entries[n]; ok {
+		c.stats.Hits++
+		c.policy.Touch(n)
+		copy(buf, e.data)
 		c.mu.Unlock()
 		return nil
 	}
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[n]; ok {
-			c.stats.Hits++
-			c.policy.Touch(n)
-			copy(buf, e.data)
-			c.mu.Unlock()
-			return nil
-		}
-		if f, ok := c.inflight[n]; ok {
-			// Another reader is fetching this block; wait and retry (the
-			// retry normally hits the freshly inserted entry).
-			c.mu.Unlock()
-			<-f.done
-			continue
-		}
-		f := &fetch{done: make(chan struct{})}
-		c.inflight[n] = f
-		c.mu.Unlock()
-
-		err := c.dev.ReadBlock(n, buf)
-
-		c.mu.Lock()
-		delete(c.inflight, n)
-		close(f.done)
-		if err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		if e, ok := c.entries[n]; ok {
-			// A write raced the fetch and inserted newer data; the cache is
-			// authoritative.
-			c.stats.Hits++
-			c.policy.Touch(n)
-			copy(buf, e.data)
-			c.mu.Unlock()
-			return nil
-		}
-		if f.stale {
-			// Written and already flushed+evicted during the fetch: the bytes
-			// read may predate that write. Refetch from the device.
-			c.mu.Unlock()
-			continue
-		}
-		c.stats.Misses++
-		c.insertLocked(n, buf, false)
-		c.mu.Unlock()
-		return nil
-	}
+	c.mu.Unlock()
+	return c.ReadBlocks([]int64{n}, [][]byte{buf})
 }
 
 // WriteBlock stores buf for block n in the cache, deferring the device write
-// to the flush pipeline (a pass-through cache writes to the device
-// immediately instead).
+// to the flush pipeline.
 func (c *Cache) WriteBlock(n int64, buf []byte) error {
 	if len(buf) != c.dev.BlockSize() {
 		return fmt.Errorf("%w: %d != %d", vdisk.ErrBadBuffer, len(buf), c.dev.BlockSize())
@@ -384,21 +335,13 @@ func (c *Cache) WriteBlock(n int64, buf []byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap == 0 {
-		// lockcheck:ignore audited: pass-through mode serializes the write under the mutex exactly like a single spindle; there is no cached state to protect
-		if err := c.dev.WriteBlock(n, buf); err != nil {
-			return err
-		}
-		c.stats.WriteBacks++
-		return nil
-	}
 	c.writeLocked(n, buf)
 	c.afterWriteLocked()
 	return nil
 }
 
 // writeLocked stores buf for block n in the resident set as a dirty block
-// (caller holds c.mu; pass-through writes never get here).
+// (caller holds c.mu).
 // lockcheck:holds volume/cacheMu
 func (c *Cache) writeLocked(n int64, buf []byte) {
 	if f, ok := c.inflight[n]; ok {
@@ -450,9 +393,15 @@ func (c *Cache) afterWriteLocked() {
 // ReadBlocks implements vdisk.BatchDevice. Hits and misses are partitioned
 // under a single lock acquisition; the misses are then fetched from the
 // device in one batched request (sorted submission at the device layer)
-// while the lock is released, and inserted under a second acquisition. The
-// same single-flight and write-wins rules as ReadBlock apply per block, so
-// the returned bytes are identical to what the per-block path would produce.
+// while the lock is released, and inserted under a second acquisition.
+//
+// Releasing the lock lets concurrent misses on distinct blocks overlap at
+// the device instead of convoying behind one mutex. Concurrent misses on the
+// same block are deduplicated (single-flight): one caller fetches, the rest
+// wait for it and are then served from the cache. A write that lands while a
+// fetch is in flight wins — the cached (written) data is returned and the
+// stale fetched bytes are discarded — so read-your-writes holds even across
+// the unlocked window.
 func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 	if len(ns) != len(bufs) {
 		return fmt.Errorf("%w: %d block numbers, %d buffers", vdisk.ErrBadBuffer, len(ns), len(bufs))
@@ -462,15 +411,6 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 		if len(b) != bs {
 			return fmt.Errorf("%w: %d != %d", vdisk.ErrBadBuffer, len(b), bs)
 		}
-	}
-	if c.cap == 0 {
-		if err := vdisk.ReadBlocks(c.dev, ns, bufs); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.stats.Misses += int64(len(ns))
-		c.mu.Unlock()
-		return nil
 	}
 	// Fast path: when every block is resident, serve the batch under one
 	// lock hold with no bookkeeping allocations (the slow path's index
@@ -580,9 +520,8 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 }
 
 // WriteBlocks implements vdisk.BatchDevice: the whole batch is absorbed
-// under one lock acquisition (a pass-through cache issues a single batched,
-// sorted device submission instead) and the write-behind policy is applied
-// once at the end.
+// under one lock acquisition and the write-behind policy is applied once at
+// the end.
 func (c *Cache) WriteBlocks(ns []int64, bufs [][]byte) error {
 	if len(ns) != len(bufs) {
 		return fmt.Errorf("%w: %d block numbers, %d buffers", vdisk.ErrBadBuffer, len(ns), len(bufs))
@@ -599,14 +538,6 @@ func (c *Cache) WriteBlocks(ns []int64, bufs [][]byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap == 0 {
-		// lockcheck:ignore audited: pass-through batches hold the mutex across the device submission, serializing it exactly like a single spindle; there is no cached state to protect
-		if err := vdisk.WriteBlocks(c.dev, ns, bufs); err != nil {
-			return err
-		}
-		c.stats.WriteBacks += int64(len(ns))
-		return nil
-	}
 	for i, n := range ns {
 		c.writeLocked(n, bufs[i])
 	}

@@ -147,28 +147,6 @@ func TestAccounting(t *testing.T) {
 			},
 			want: Stats{Hits: 1},
 		},
-		{
-			name:     "capacity zero is pass-through",
-			capacity: 0,
-			run: func(t *testing.T, c *Cache, dev *traceDev) {
-				buf := make([]byte, bs)
-				if err := c.WriteBlock(3, blockPayload(bs, 3)); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 3; i++ {
-					if err := c.ReadBlock(3, buf); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if got := dev.writes(); len(got) != 1 || got[0] != 3 {
-					t.Fatalf("pass-through writes = %v, want [3]", got)
-				}
-			},
-			// Pass-through counters mirror the cached modes: every read is a
-			// miss, every write a write-back — not the old asymmetric
-			// miss-only accounting.
-			want: Stats{Misses: 3, WriteBacks: 1},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,7 +161,7 @@ func TestAccounting(t *testing.T) {
 }
 
 func TestReadYourWrites(t *testing.T) {
-	for _, capacity := range []int{0, 1, 3, 64} {
+	for _, capacity := range []int{1, 3, 64} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
 			dev := newTraceDev(t, 64, 32)
 			c := New(dev, capacity)

@@ -2,9 +2,9 @@
 
 package sgcrypto
 
-// hasFastCTR is false off amd64; Seal and SealRange fall back to stdlib
-// cipher.NewCTR per block, which is correct everywhere but allocates a
-// stream object per call.
+// hasFastCTR is false off amd64; Seal falls back to stdlib cipher.NewCTR
+// per block, which is correct everywhere but allocates a stream object per
+// call.
 const hasFastCTR = false
 
 // encryptBlocks256 is never called when hasFastCTR is false.

@@ -169,30 +169,6 @@ func (s *Sealer) iv(blockNo int64) [16]byte {
 	return iv
 }
 
-// ctrXorFast runs the fused CTR kernel over dst/src for the counter
-// starting at (hi, lo): the 16-byte-aligned body goes through the assembly
-// kernel in one pass (counters materialized, encrypted and XORed without a
-// keystream buffer); a trailing partial block encrypts one counter on the
-// stack.
-func (s *Sealer) ctrXorFast(dst, src []byte, hi, lo uint64) {
-	full := len(src) &^ 15
-	if full > 0 {
-		ctrXor256(&s.xk, dst[:full], src[:full], hi, lo)
-	}
-	if rem := len(src) - full; rem > 0 {
-		lo2 := lo + uint64(full/16)
-		hi2 := hi
-		if lo2 < lo {
-			hi2++
-		}
-		var ctr [16]byte
-		binary.BigEndian.PutUint64(ctr[:8], hi2)
-		binary.BigEndian.PutUint64(ctr[8:], lo2)
-		encryptBlocks256(&s.xk, ctr[:])
-		subtle.XORBytes(dst[full:], src[full:], ctr[:rem])
-	}
-}
-
 // Seal encrypts src (one disk block belonging to logical block blockNo) into
 // dst. dst and src must have equal length and may alias exactly.
 func (s *Sealer) Seal(blockNo int64, dst, src []byte) error {
@@ -207,7 +183,25 @@ func (s *Sealer) Seal(blockNo int64, dst, src []byte) error {
 		cipher.NewCTR(s.block, iv[:]).XORKeyStream(dst, src)
 		return nil
 	}
-	s.ctrXorFast(dst, src, s.ivHi, s.ivLo^uint64(blockNo))
+	// The 16-byte-aligned body goes through the assembly kernel in one pass
+	// (counters materialized, encrypted and XORed without a keystream
+	// buffer); a trailing partial block encrypts one counter on the stack.
+	hi, lo := s.ivHi, s.ivLo^uint64(blockNo)
+	full := len(src) &^ 15
+	if full > 0 {
+		ctrXor256(&s.xk, dst[:full], src[:full], hi, lo)
+	}
+	if rem := len(src) - full; rem > 0 {
+		lo2 := lo + uint64(full/16)
+		if lo2 < lo {
+			hi++
+		}
+		var ctr [16]byte
+		binary.BigEndian.PutUint64(ctr[:8], hi)
+		binary.BigEndian.PutUint64(ctr[8:], lo2)
+		encryptBlocks256(&s.xk, ctr[:])
+		subtle.XORBytes(dst[full:], src[full:], ctr[:rem])
+	}
 	return nil
 }
 
@@ -215,46 +209,6 @@ func (s *Sealer) Seal(blockNo int64, dst, src []byte) error {
 // this is the same keystream XOR.
 func (s *Sealer) Open(blockNo int64, dst, src []byte) error {
 	return s.Seal(blockNo, dst, src)
-}
-
-// SealRange encrypts len(nos) equal-sized consecutive chunks of src into
-// dst; chunk i belongs to logical block nos[i]. It produces exactly the
-// bytes of one Seal call per chunk, restarting the counter at each chunk's
-// IV, with one fused-kernel call per chunk (each chunk is many AES blocks,
-// so the 8-way pipeline stays full). dst and src must have equal length, a
-// multiple of len(nos), and may alias exactly.
-func (s *Sealer) SealRange(nos []int64, dst, src []byte) error {
-	if len(dst) != len(src) {
-		return errors.New("sgcrypto: SealRange length mismatch")
-	}
-	if len(nos) == 0 {
-		if len(src) != 0 {
-			return errors.New("sgcrypto: SealRange with no block numbers")
-		}
-		return nil
-	}
-	if len(src)%len(nos) != 0 {
-		return errors.New("sgcrypto: SealRange length not a multiple of chunk count")
-	}
-	chunk := len(src) / len(nos)
-	if !s.fast {
-		for i, no := range nos {
-			if err := s.Seal(no, dst[i*chunk:(i+1)*chunk], src[i*chunk:(i+1)*chunk]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, no := range nos {
-		s.ctrXorFast(dst[i*chunk:(i+1)*chunk], src[i*chunk:(i+1)*chunk], s.ivHi, s.ivLo^uint64(no))
-	}
-	return nil
-}
-
-// OpenRange decrypts len(nos) equal-sized chunks; the CTR symmetry makes it
-// the same operation as SealRange.
-func (s *Sealer) OpenRange(nos []int64, dst, src []byte) error {
-	return s.SealRange(nos, dst, src)
 }
 
 // RandomFiller produces a deterministic stream of uniformly-random-looking

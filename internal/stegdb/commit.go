@@ -144,37 +144,87 @@ type commitState struct {
 // bare volume barrier.
 func (st *commitState) empty() bool { return len(st.recs) == 0 && st.metaClean }
 
-// commitOnce runs one full commit of this pager: the single-pager Sync
-// path. PartitionedTable.Sync composes the same phases across partitions
-// with shared barriers (partition.go).
-func (p *Pager) commitOnce() error {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	st, err := p.commitPrepare()
-	if err != nil {
-		p.releaseCommit(st)
+// commitPagers runs one commit of every pager in pagers, all on view, as
+// one batch: a plain table's Sync passes its one pager, a partitioned
+// table's Sync all of them. Commit locks are taken in list order (the
+// commitMu class is `multi` for exactly this walk), so concurrent commits
+// of the same list cannot deadlock. The barriers are shared: every journal
+// is written, one view.Sync makes them durable, every home file is written,
+// and one more view.Sync makes the homes durable. A commit with nothing to
+// journal is an epoch bump plus one barrier.
+func commitPagers(view View, pagers []*Pager) error {
+	for _, p := range pagers {
+		p.commitMu.Lock()
+	}
+	defer func() {
+		for _, p := range pagers {
+			p.commitMu.Unlock()
+		}
+	}()
+	states := make([]*commitState, len(pagers))
+	release := func() {
+		for i, st := range states {
+			if st != nil {
+				pagers[i].releaseCommit(st)
+			}
+		}
+	}
+	work := false
+	for i, p := range pagers {
+		st, err := p.commitPrepare()
+		states[i] = st
+		if err != nil {
+			release()
+			return err
+		}
+		if !st.empty() {
+			work = true
+		}
+	}
+	if !work {
+		release()
+		for _, p := range pagers {
+			p.bumpEpoch()
+		}
+		return view.Sync()
+	}
+	for i, p := range pagers {
+		if states[i].empty() {
+			continue
+		}
+		if err := p.writeWAL(states[i]); err != nil {
+			release()
+			return err
+		}
+	}
+	if err := view.Sync(); err != nil { // barrier: journals before homes
+		release()
 		return err
 	}
-	if st.empty() {
-		p.releaseCommit(st)
+	var errs []error
+	for i, p := range pagers {
+		if states[i].empty() {
+			continue
+		}
+		if err := p.commitHome(states[i]); err != nil {
+			if len(pagers) > 1 {
+				err = fmt.Errorf("stegdb: partition %d: %w", i, err)
+			}
+			errs = append(errs, err)
+		}
+	}
+	release()
+	switch len(errs) {
+	case 0:
+	case 1:
+		return errs[0]
+	default:
+		return errors.Join(errs...)
+	}
+	for _, p := range pagers {
 		p.bumpEpoch()
-		return p.view.Sync()
 	}
-	if err := p.writeWAL(st); err != nil {
-		p.releaseCommit(st)
-		return err
-	}
-	if err := p.view.Sync(); err != nil { // barrier: journal before home
-		p.releaseCommit(st)
-		return err
-	}
-	if err := p.commitHome(st); err != nil {
-		p.releaseCommit(st)
-		return err
-	}
-	p.releaseCommit(st)
-	p.bumpEpoch()
-	return p.view.Sync() // barrier: home durable
+	return view.Sync() // barrier: homes durable
 }
 
 // commitPrepare captures a consistent cut of the dirty state: an internal

@@ -420,7 +420,9 @@ func (p *Pager) FreePage(id int64) error {
 // everything home, and barriers again. After a torn crash anywhere inside,
 // recovery at OpenPager leaves the database at exactly the old or the new
 // epoch.
-func (p *Pager) Sync() error { return p.gc.do(p.commitOnce) }
+func (p *Pager) Sync() error {
+	return p.gc.do(func() error { return commitPagers(p.view, []*Pager{p}) })
+}
 
 // bumpEpoch opens a new epoch after a commit, so snapshots taken afterwards
 // are pinned at a post-commit boundary.

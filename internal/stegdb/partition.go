@@ -1,7 +1,6 @@
 package stegdb
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -329,82 +328,17 @@ func (pt *PartitionedTable) Check() error {
 // Sync commits every partition as one batch. Concurrent callers are group
 // committed: each batch journals all partitions, issues one shared
 // journal barrier, homes all partitions, and issues one shared home
-// barrier — the per-caller cost the tentpole exists to amortize.
-func (pt *PartitionedTable) Sync() error { return pt.gc.do(pt.commitAll) }
+// barrier — the per-caller cost group commit exists to amortize.
+func (pt *PartitionedTable) Sync() error {
+	pagers := make([]*Pager, len(pt.parts))
+	for i, t := range pt.parts {
+		pagers[i] = t.pg
+	}
+	return pt.gc.do(func() error { return commitPagers(pt.view, pagers) })
+}
 
 // Close is the shutdown path: one final cross-partition commit.
 func (pt *PartitionedTable) Close() error { return pt.Sync() }
-
-// commitAll runs one cross-partition commit. Commit locks are taken in
-// partition order (the commitMu class is `multi` for exactly this walk),
-// so concurrent commitAll runs cannot deadlock.
-func (pt *PartitionedTable) commitAll() error {
-	for _, t := range pt.parts {
-		t.pg.commitMu.Lock()
-	}
-	defer func() {
-		for _, t := range pt.parts {
-			t.pg.commitMu.Unlock()
-		}
-	}()
-	states := make([]*commitState, len(pt.parts))
-	release := func() {
-		for i, st := range states {
-			if st != nil {
-				pt.parts[i].pg.releaseCommit(st)
-			}
-		}
-	}
-	work := false
-	for i, t := range pt.parts {
-		st, err := t.pg.commitPrepare()
-		states[i] = st
-		if err != nil {
-			release()
-			return err
-		}
-		if !st.empty() {
-			work = true
-		}
-	}
-	if !work {
-		release()
-		for _, t := range pt.parts {
-			t.pg.bumpEpoch()
-		}
-		return pt.view.Sync()
-	}
-	for i, t := range pt.parts {
-		if states[i].empty() {
-			continue
-		}
-		if err := t.pg.writeWAL(states[i]); err != nil {
-			release()
-			return err
-		}
-	}
-	if err := pt.view.Sync(); err != nil { // one barrier: all journals durable
-		release()
-		return err
-	}
-	var errs []error
-	for i, t := range pt.parts {
-		if states[i].empty() {
-			continue
-		}
-		if err := t.pg.commitHome(states[i]); err != nil {
-			errs = append(errs, fmt.Errorf("stegdb: partition %d: %w", i, err))
-		}
-	}
-	release()
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
-	for _, t := range pt.parts {
-		t.pg.bumpEpoch()
-	}
-	return pt.view.Sync() // one barrier: all homes durable
-}
 
 // CheckAny opens and checks the named table, plain or partitioned,
 // adopting each constituent hidden file into the view via adopt (e.g.

@@ -167,50 +167,93 @@ const (
 	sealFanMin     = 32 // below this many blocks the fan-out overhead loses
 )
 
-// fanBlocks runs fn(0..n-1), fanning out across a bounded worker pool when
-// the batch is large enough and more than one CPU is available. The first
-// error stops the fan-out and is returned.
-func fanBlocks(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > sealMaxWorkers {
-		workers = sealMaxWorkers
+// sealJob is one batch of per-block CTR transforms, dst[i] = Seal(ns[i],
+// src[i]). Seal and Open are the same keystream XOR, so one job type serves
+// reads (dst and src alias, decrypting in place) and writes (dst is the
+// ciphertext staging). Each encIO embeds its job, so a pooled ref fans out
+// without allocating.
+type sealJob struct {
+	sealer   *sgcrypto.Sealer
+	ns       []int64
+	dst, src [][]byte
+	next     atomic.Int64 // cursor: the next block index to claim
+	wg       sync.WaitGroup
+	errMu    sync.Mutex
+	err      error
+}
+
+// run claims blocks from the cursor until the batch is exhausted. The first
+// error is recorded and pushes the cursor past the end, so every worker
+// stops.
+func (j *sealJob) run() {
+	n := int64(len(j.ns))
+	for {
+		i := j.next.Add(1) - 1
+		if i >= n {
+			return
+		}
+		if err := j.sealer.Seal(j.ns[i], j.dst[i], j.src[i]); err != nil {
+			j.errMu.Lock()
+			if j.err == nil {
+				j.err = err
+			}
+			j.errMu.Unlock()
+			j.next.Store(n)
+			return
+		}
 	}
-	if workers <= 1 || n < sealFanMin {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+}
+
+// The fan-out helpers are sealMaxWorkers-1 goroutines shared by every
+// mount, started on the first fan-out and parked on sealHelperCh for the
+// life of the process (they hold no resources), so a fan-out starts no
+// goroutine of its own.
+var (
+	sealHelpersOnce sync.Once
+	sealHelperCh    = make(chan *sealJob)
+)
+
+func fanBlocksHelper() {
+	for j := range sealHelperCh {
+		j.run()
+		j.wg.Done()
+	}
+}
+
+// fanBlocks seals dst[i] = Seal(ns[i], src[i]) through the reused job,
+// handing it by pointer to idle helpers when the batch is large enough and
+// more than one CPU is available (a busy helper is skipped, never waited
+// for) and working on it itself. It returns the first error and drops the
+// job's references to the caller's buffers.
+func (e *encIO) fanBlocks(ns []int64, dst, src [][]byte) error {
+	j := &e.job
+	j.sealer, j.ns, j.dst, j.src = e.sealer, ns, dst, src
+	j.next.Store(0)
+	if len(ns) >= sealFanMin {
+		workers := min(runtime.GOMAXPROCS(0), sealMaxWorkers)
+		if workers > 1 {
+			sealHelpersOnce.Do(func() {
+				for i := 0; i < sealMaxWorkers-1; i++ {
+					go fanBlocksHelper()
+				}
+			})
+		}
+	recruit:
+		for w := 1; w < workers; w++ {
+			j.wg.Add(1)
+			select {
+			case sealHelperCh <- j:
+			default:
+				j.wg.Done()
+				break recruit
 			}
 		}
-		return nil
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	j.run()
+	j.wg.Wait()
+	err := j.err
+	j.sealer, j.ns, j.dst, j.src, j.err = nil, nil, nil, nil, nil
+	return err
 }
 
 // encIO is a ptree.BlockIO view of the device that transparently seals and
@@ -218,8 +261,8 @@ func fanBlocks(n int, fn func(i int) error) error {
 // writes is indistinguishable from random bytes on disk. It also implements
 // ptree.BatchBlockIO / the vectored block API: batches go to the device as
 // one sorted submission and the per-block CTR transforms fan out across a
-// bounded worker pool. The ciphertext staging buffer is reused across calls,
-// so steady-state writes allocate nothing per block.
+// bounded worker pool. The ciphertext staging buffer and the seal job are
+// reused across calls, so steady-state I/O allocates nothing per block.
 //
 // An encIO is bound to one operation on one hidden object; it is not safe
 // for concurrent use (the sealer is, but the scratch buffer is not).
@@ -228,6 +271,7 @@ type encIO struct {
 	sealer  *sgcrypto.Sealer
 	scratch []byte   // reused ciphertext staging for writes
 	ctBufs  [][]byte // reused block views over scratch
+	job     sealJob  // reused seal/open fan-out
 }
 
 func (e *encIO) BlockSize() int { return e.dev.BlockSize() }
@@ -256,9 +300,7 @@ func (e *encIO) ReadBlocks(ns []int64, bufs [][]byte) error {
 	if err := vdisk.ReadBlocks(e.dev, ns, bufs); err != nil {
 		return err
 	}
-	return fanBlocks(len(ns), func(i int) error {
-		return e.sealer.Open(ns[i], bufs[i], bufs[i])
-	})
+	return e.fanBlocks(ns, bufs, bufs)
 }
 
 // WriteBlocks seals the batch into the reused staging area and submits one
@@ -272,60 +314,14 @@ func (e *encIO) WriteBlocks(ns []int64, bufs [][]byte) error {
 		e.scratch = make([]byte, len(ns)*bs)
 	}
 	ct := e.scratch[:len(ns)*bs]
-	cts := e.ctViews(ct, len(ns), bs)
-	if err := fanBlocks(len(ns), func(i int) error {
-		return e.sealer.Seal(ns[i], cts[i], bufs[i])
-	}); err != nil {
-		return err
+	if cap(e.ctBufs) < len(ns) {
+		e.ctBufs = make([][]byte, len(ns))
 	}
-	return vdisk.WriteBlocks(e.dev, ns, cts)
-}
-
-// ctViews re-slices the reused view list over the ciphertext staging area.
-func (e *encIO) ctViews(ct []byte, n, bs int) [][]byte {
-	if cap(e.ctBufs) < n {
-		e.ctBufs = make([][]byte, n)
-	}
-	cts := e.ctBufs[:n]
+	cts := e.ctBufs[:len(ns)]
 	for i := range cts {
 		cts[i] = ct[i*bs : (i+1)*bs]
 	}
-	return cts
-}
-
-// ReadSpan is ReadBlocks for callers whose bufs are back-to-back views of
-// the contiguous buffer flat: the whole span decrypts in one vectored
-// OpenRange sweep instead of per-block Open calls. On a multi-CPU box large
-// batches keep the per-block fan-out, which spreads the CTR work across
-// cores.
-func (e *encIO) ReadSpan(ns []int64, flat []byte, bufs [][]byte) error {
-	if err := vdisk.ReadBlocks(e.dev, ns, bufs); err != nil {
-		return err
-	}
-	if runtime.GOMAXPROCS(0) > 1 && len(ns) >= sealFanMin {
-		return fanBlocks(len(ns), func(i int) error {
-			return e.sealer.Open(ns[i], bufs[i], bufs[i])
-		})
-	}
-	return e.sealer.OpenRange(ns, flat, flat)
-}
-
-// WriteSpan is WriteBlocks for a contiguous span: one vectored SealRange
-// into the reused staging area, then one sorted device submission.
-func (e *encIO) WriteSpan(ns []int64, flat []byte, bufs [][]byte) error {
-	bs := e.dev.BlockSize()
-	if cap(e.scratch) < len(flat) {
-		e.scratch = make([]byte, len(flat))
-	}
-	ct := e.scratch[:len(flat)]
-	cts := e.ctViews(ct, len(ns), bs)
-	if runtime.GOMAXPROCS(0) > 1 && len(ns) >= sealFanMin {
-		if err := fanBlocks(len(ns), func(i int) error {
-			return e.sealer.Seal(ns[i], cts[i], bufs[i])
-		}); err != nil {
-			return err
-		}
-	} else if err := e.sealer.SealRange(ns, ct, flat); err != nil {
+	if err := e.fanBlocks(ns, cts, bufs); err != nil {
 		return err
 	}
 	return vdisk.WriteBlocks(e.dev, ns, cts)
@@ -838,8 +834,7 @@ func (fs *FS) readHidden(r *hiddenRef) ([]byte, error) {
 	r.blockList = blocks
 	bs := fs.dev.BlockSize()
 	out := make([]byte, r.hdr.nblocks*int64(bs))
-	bufs := r.spanViews(out, len(blocks), bs)
-	if err := io.ReadSpan(blocks, out, bufs); err != nil {
+	if err := io.ReadBlocks(blocks, r.spanViews(out, len(blocks), bs)); err != nil {
 		return nil, err
 	}
 	return out[:r.hdr.size], nil

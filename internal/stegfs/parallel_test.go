@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"stegfs/internal/fsapi"
+	"stegfs/internal/sgcrypto"
 )
 
 // TestParallelReadHiddenDistinctObjects: many goroutines read disjoint
@@ -295,6 +297,60 @@ func TestVectoredReadMatchesBlockwise(t *testing.T) {
 	if !bytes.Equal(serial[:len(want)], want) {
 		t.Fatal("serial block-by-block read disagrees with vectored path")
 	}
+}
+
+// TestParallelSealFanOut: concurrent fan-outs share the seal helper
+// goroutines. Every job must produce exactly the per-block Seal output, and
+// a job with a short buffer must report the error without disturbing the
+// others.
+func TestParallelSealFanOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sealMaxWorkers))
+	sealer, err := sgcrypto.NewSealer("fan", []byte("key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs, blocks, bs = 6, 2 * sealFanMin, 256
+	var wg sync.WaitGroup
+	for g := 0; g < jobs; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := &encIO{sealer: sealer}
+			ns := make([]int64, blocks)
+			src := make([][]byte, blocks)
+			dst := make([][]byte, blocks)
+			for i := range ns {
+				ns[i] = int64(g*1000 + i)
+				src[i] = bytes.Repeat([]byte{byte(g + i)}, bs)
+				dst[i] = make([]byte, bs)
+			}
+			want := make([]byte, bs)
+			for round := 0; round < 20; round++ {
+				if err := e.fanBlocks(ns, dst, src); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range ns {
+					if err := sealer.Seal(ns[i], want, src[i]); err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(dst[i], want) {
+						t.Errorf("job %d block %d: fan-out diverges from per-block Seal", g, i)
+						return
+					}
+				}
+				full := dst[blocks/2]
+				dst[blocks/2] = full[:bs-1]
+				if err := e.fanBlocks(ns, dst, src); err == nil {
+					t.Errorf("job %d: short buffer not reported", g)
+					return
+				}
+				dst[blocks/2] = full
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCreateBackupSyncNoDeadlock is the regression test for the freeze-gate

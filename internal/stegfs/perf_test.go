@@ -3,6 +3,7 @@ package stegfs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"stegfs/internal/sgcrypto"
@@ -32,9 +33,9 @@ func perfVolume(tb testing.TB) (*FS, *HiddenView) {
 
 // TestCachedReadAllocFree pins the zero-allocation guarantee of the cached
 // read path: once the ref pool, lock freelist and block cache are warm, a
-// ReadAt (open → header reload → tree walk → batched cache read → vectored
-// open → release) must not touch the heap. CI runs this as the allocs/op
-// regression gate alongside BenchmarkCachedReadAt.
+// ReadAt (open → header reload → tree walk → batched cache read → per-block
+// open, fanned out for large reads → release) must not touch the heap. CI
+// runs this as the allocs/op regression gate alongside BenchmarkCachedReadAt.
 func TestCachedReadAllocFree(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -67,6 +68,27 @@ func TestCachedReadAllocFree(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[4096:8192]) {
 		t.Fatal("read returned wrong bytes")
+	}
+
+	// A 64 KB read is 64 blocks, past sealFanMin: with two CPUs it takes the
+	// seal fan-out, which must not allocate either.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	big := make([]byte, 65536)
+	for i := 0; i < 8; i++ {
+		if _, err := v.ReadAt("f", big, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if _, err := v.ReadAt("f", big, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached 64 KB ReadAt at GOMAXPROCS=2 allocates %.1f objects/op, want 0", allocs)
+	}
+	if !bytes.Equal(big, data) {
+		t.Fatal("64 KB read returned wrong bytes")
 	}
 }
 
