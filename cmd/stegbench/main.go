@@ -264,11 +264,11 @@ func runSweep(exp, title string, w bench.Workload) func(bench.Config) error {
 			return err
 		}
 		fmt.Println(title)
-		fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  sync-tail  hit-rate  writebacks  batches  wbehind  stalls")
+		fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  sync-tail  hit-rate  misses  writebacks  batches  wbehind  stalls")
 		for _, r := range rows {
-			fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %9.3f  %7.1f%%  %10d  %7d  %7d  %6d\n",
+			fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %9.3f  %7.1f%%  %6d  %10d  %7d  %7d  %6d\n",
 				r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.SyncTailSeconds,
-				r.HitRate*100, r.WriteBacks, r.FlushBatches, r.WriteBehinds, r.FlushStalls)
+				r.HitRate*100, r.Misses, r.WriteBacks, r.FlushBatches, r.WriteBehinds, r.FlushStalls)
 			emit(exp, r)
 		}
 		contPct := 0.0

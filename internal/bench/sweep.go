@@ -20,6 +20,10 @@ type SweepRow struct {
 	Speedup     float64 // OpsPerSec relative to the first row
 	DiskSeconds float64 // simulated-disk time charged to the level
 	HitRate     float64 // block-cache hit rate of the level (0 when uncached)
+	// Misses counts the level's block-cache misses: the blocks the cache
+	// had to read from the device. Unlike HitRate it does not move when a
+	// layer above stops re-reading blocks the cache would have served.
+	Misses int64
 	// SyncTailSeconds is the in-window barrier alone (A7's closing
 	// FS.Sync): the dirty backlog write-behind left for the barrier to
 	// drain. The elevator (C-SCAN) flusher keeps this tail short — without
@@ -211,6 +215,7 @@ func Sweep(cfg Config, w Workload, levels []int, emuScale float64) ([]SweepRow, 
 			WallSeconds:     wall.Seconds(),
 			DiskSeconds:     (disk.Elapsed() - preDisk).Seconds(),
 			HitRate:         d.HitRate(),
+			Misses:          d.Misses,
 			SyncTailSeconds: tail.Seconds(),
 			WriteBacks:      d.WriteBacks,
 			FlushBatches:    d.FlushBatches,

@@ -288,3 +288,99 @@ func TestCapacityMustBePositive(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmTouchesAndFetches: Warm counts a resident block as used for the
+// replacement policy without counting a hit, fetches the missing blocks in
+// one device batch counted as misses, and allocates nothing when every
+// block is resident.
+func TestWarmTouchesAndFetches(t *testing.T) {
+	const bs = 256
+	store := fillStore(t, 128, bs)
+	c := New(store, 4) // LRU
+	buf := make([]byte, bs)
+	for _, b := range []int64{1, 2, 3, 4} {
+		if err := c.ReadBlock(b, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := c.Stats()
+	if err := c.Warm([]int64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Stats().Sub(pre); d != (Stats{}) {
+		t.Fatalf("warming a resident block changed stats by %+v", d)
+	}
+	// 1 is now the most recently used, so the next miss evicts 2 instead.
+	if err := c.ReadBlock(5, buf); err != nil {
+		t.Fatal(err)
+	}
+	pre = c.Stats()
+	if err := c.ReadBlock(1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Stats().Sub(pre); d.Hits != 1 || d.Misses != 0 {
+		t.Fatalf("block 1 after warm: hits/misses = %d/%d, want 1/0", d.Hits, d.Misses)
+	}
+
+	dev := &countingDev{MemStore: store}
+	c = New(dev, 8)
+	if err := c.ReadBlock(9, buf); err != nil {
+		t.Fatal(err)
+	}
+	dev.batches.Store(0)
+	pre = c.Stats()
+	if err := c.Warm([]int64{20, 9, 21}); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Stats().Sub(pre); d.Hits != 0 || d.Misses != 2 {
+		t.Fatalf("warm of two cold blocks: hits/misses = %d/%d, want 0/2", d.Hits, d.Misses)
+	}
+	if got := dev.batches.Load(); got != 1 {
+		t.Fatalf("warm fetched in %d device batches, want 1", got)
+	}
+	pre = c.Stats()
+	for _, b := range []int64{20, 21} {
+		if err := c.ReadBlock(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, expectBlock(b, bs)) {
+			t.Fatalf("block %d corrupted by warm", b)
+		}
+	}
+	if d := c.Stats().Sub(pre); d.Hits != 2 || d.Misses != 0 {
+		t.Fatalf("reads after warm: hits/misses = %d/%d, want 2/0", d.Hits, d.Misses)
+	}
+	ns := []int64{9, 20, 21}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Warm(ns); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm of resident blocks allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// countingDev counts the batched reads that reach it.
+type countingDev struct {
+	*vdisk.MemStore
+	batches atomic.Int64
+}
+
+func (d *countingDev) ReadBlocks(ns []int64, bufs [][]byte) error {
+	d.batches.Add(1)
+	for i, n := range ns {
+		if err := d.MemStore.ReadBlock(n, bufs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *countingDev) WriteBlocks(ns []int64, bufs [][]byte) error {
+	for i, n := range ns {
+		if err := d.MemStore.WriteBlock(n, bufs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -59,7 +59,9 @@
 package blockcache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -112,6 +114,7 @@ type entry struct {
 	dirty    bool
 	flushing bool   // a staged copy is being written by the flush pipeline
 	gen      uint64 // bumped on every write; detects re-dirty during a flight
+	dirtyPos int    // index in Cache.dirtyList while dirty
 }
 
 // maxFlushRun caps how many blocks one pipeline submission stages (and
@@ -173,8 +176,14 @@ type Cache struct {
 	entries map[int64]*entry
 	// lockcheck:guardedby mu
 	inflight map[int64]*fetch // miss fetches in progress (see ReadBlocks)
+	// dirtyList holds exactly the dirty entries (staged ones included), in
+	// no particular order; each entry's dirtyPos is its index, so a block
+	// leaves the list by swap-remove. Barriers and write-behind runs walk
+	// this list instead of the whole resident set, so their cost follows
+	// the dirty backlog rather than the capacity. It is a slice, not a map:
+	// a map's iteration cost follows its high-water size.
 	// lockcheck:guardedby mu
-	dirty int // resident dirty blocks (staged ones included)
+	dirtyList []*entry
 	// lockcheck:guardedby mu
 	staged int // dirty blocks currently flush-in-flight
 	// lockcheck:guardedby mu
@@ -294,7 +303,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Dirty() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dirty
+	return len(c.dirtyList)
 }
 
 // FlushInFlight returns the number of blocks currently staged in the flush
@@ -322,6 +331,36 @@ func (c *Cache) ReadBlock(n int64, buf []byte) error {
 	}
 	c.mu.Unlock()
 	return c.ReadBlocks([]int64{n}, [][]byte{buf})
+}
+
+// Warm makes blocks ns resident without copying them out, for a caller that
+// is about to read some of them and wants the rest kept warm too (stegfs's
+// pointer-tree walks, via ptree.Warmer). A resident block counts as a use
+// for the replacement policy but not as a hit, since nothing is read; the
+// missing ones are fetched in one ReadBlocks batch, with its single-flight,
+// write-wins and miss accounting. Once every block is resident it allocates
+// nothing.
+func (c *Cache) Warm(ns []int64) error {
+	var missing []int64
+	c.mu.Lock()
+	for _, n := range ns {
+		if _, ok := c.entries[n]; ok {
+			c.policy.Touch(n)
+		} else {
+			missing = append(missing, n)
+		}
+	}
+	c.mu.Unlock()
+	if len(missing) == 0 {
+		return nil
+	}
+	bs := c.dev.BlockSize()
+	raw := make([]byte, len(missing)*bs)
+	bufs := make([][]byte, len(missing))
+	for i := range bufs {
+		bufs[i] = raw[i*bs : (i+1)*bs]
+	}
+	return c.ReadBlocks(missing, bufs)
 }
 
 // WriteBlock stores buf for block n in the cache, deferring the device write
@@ -353,8 +392,7 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 		copy(e.data, buf)
 		e.gen++
 		if !e.dirty {
-			e.dirty = true
-			c.dirty++
+			c.markDirtyLocked(e)
 		}
 		c.policy.Touch(n)
 	} else {
@@ -369,7 +407,7 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 // Caller holds c.mu.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) afterWriteLocked() {
-	if c.highWater <= 0 || c.dirty <= c.highWater {
+	if c.highWater <= 0 || len(c.dirtyList) <= c.highWater {
 		return
 	}
 	if c.workers == 0 {
@@ -378,14 +416,14 @@ func (c *Cache) afterWriteLocked() {
 		return
 	}
 	c.bgWake.Signal()
-	if c.dirty < 2*c.highWater {
+	if len(c.dirtyList) < 2*c.highWater {
 		return
 	}
 	// Hard cap: the pipeline is more than a full mark behind. Wait for it
 	// rather than growing the backlog without bound. A sticky error pauses
 	// the pipeline until the next barrier, so don't wait on it then.
 	c.stats.FlushStalls++
-	for c.dirty >= 2*c.highWater && c.wbErr == nil && !c.closed {
+	for len(c.dirtyList) >= 2*c.highWater && c.wbErr == nil && !c.closed {
 		c.flushDone.Wait()
 	}
 }
@@ -549,10 +587,10 @@ func (c *Cache) WriteBlocks(ns []int64, bufs [][]byte) error {
 // policy-chosen victims while the cache is over capacity.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) insertLocked(n int64, buf []byte, dirty bool) {
-	e := &entry{block: n, data: append(make([]byte, 0, len(buf)), buf...), dirty: dirty}
+	e := &entry{block: n, data: append(make([]byte, 0, len(buf)), buf...)}
 	c.entries[n] = e
 	if dirty {
-		c.dirty++
+		c.markDirtyLocked(e)
 	}
 	c.policy.Insert(n)
 	for len(c.entries) > c.cap {
@@ -600,13 +638,34 @@ func (c *Cache) evictLocked() bool {
 			return false
 		}
 		c.stats.WriteBacks++
-		victim.dirty = false
-		c.dirty--
+		c.markCleanLocked(victim)
 	}
 	c.policy.Remove(n)
 	delete(c.entries, n)
 	c.stats.Evictions++
 	return true
+}
+
+// markDirtyLocked marks the clean entry e dirty and appends it to the dirty
+// list.
+// lockcheck:holds volume/cacheMu
+func (c *Cache) markDirtyLocked(e *entry) {
+	e.dirty = true
+	e.dirtyPos = len(c.dirtyList)
+	c.dirtyList = append(c.dirtyList, e)
+}
+
+// markCleanLocked marks the dirty entry e clean and swap-removes it from the
+// dirty list.
+// lockcheck:holds volume/cacheMu
+func (c *Cache) markCleanLocked(e *entry) {
+	last := len(c.dirtyList) - 1
+	moved := c.dirtyList[last]
+	moved.dirtyPos = e.dirtyPos
+	c.dirtyList[e.dirtyPos] = moved
+	c.dirtyList[last] = nil
+	c.dirtyList = c.dirtyList[:last]
+	e.dirty = false
 }
 
 // dirtyRunLocked returns up to limit unstaged dirty entries (limit <= 0
@@ -628,13 +687,13 @@ func (c *Cache) evictLocked() bool {
 // next run resumes mid-stroke, not at zero.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) dirtyRunLocked(limit int) []*entry {
-	run := make([]*entry, 0, c.dirty-c.staged)
-	for _, e := range c.entries {
-		if e.dirty && !e.flushing {
+	run := make([]*entry, 0, len(c.dirtyList)-c.staged)
+	for _, e := range c.dirtyList {
+		if !e.flushing {
 			run = append(run, e)
 		}
 	}
-	sort.Slice(run, func(i, j int) bool { return run[i].block < run[j].block })
+	slices.SortFunc(run, byBlock)
 	if limit <= 0 || len(run) <= limit {
 		return run
 	}
@@ -649,12 +708,14 @@ func (c *Cache) dirtyRunLocked(limit int) []*entry {
 		wrapped := run[:min(rem, start)] // C-SCAN return stroke
 		c.sweep = wrapped[len(wrapped)-1].block + 1
 		picked = append(picked, wrapped...)
-		sort.Slice(picked, func(i, j int) bool { return picked[i].block < picked[j].block })
+		slices.SortFunc(picked, byBlock)
 	} else {
 		c.sweep = picked[len(picked)-1].block + 1
 	}
 	return picked
 }
+
+func byBlock(a, b *entry) int { return cmp.Compare(a.block, b.block) }
 
 // minWorkerRun is the smallest backlog share worth waking another flusher
 // for — below this, one worker's sorted run beats the extra submissions.
@@ -672,7 +733,7 @@ func (c *Cache) flushRunLocked(lowTarget, runCap int, background bool) error {
 		limit = runCap
 	}
 	if lowTarget > 0 {
-		want := c.dirty - lowTarget
+		want := len(c.dirtyList) - lowTarget
 		if want <= 0 {
 			return nil
 		}
@@ -725,8 +786,7 @@ func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
 		e := c.entries[n]
 		e.flushing = false
 		if err == nil && e.dirty && e.gen == gens[i] {
-			e.dirty = false
-			c.dirty--
+			c.markCleanLocked(e)
 		}
 	}
 	c.staged -= len(run)
@@ -754,12 +814,12 @@ func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
 // re-arms).
 // lockcheck:holds volume/cacheMu
 func (c *Cache) flushNeededLocked() bool {
-	if c.wbErr != nil || c.highWater <= 0 || c.dirty-c.staged <= 0 {
+	if c.wbErr != nil || c.highWater <= 0 || len(c.dirtyList)-c.staged <= 0 {
 		return false
 	}
-	if c.dirty > c.highWater {
+	if len(c.dirtyList) > c.highWater {
 		c.draining = true
-	} else if c.dirty <= c.highWater/2 {
+	} else if len(c.dirtyList) <= c.highWater/2 {
 		c.draining = false
 	}
 	return c.draining
@@ -787,7 +847,7 @@ func (c *Cache) flusher() {
 		// serialized mega-run.
 		low := c.highWater / 2
 		runCap := 0
-		if want := c.dirty - low; c.workers > 1 && want > minWorkerRun {
+		if want := len(c.dirtyList) - low; c.workers > 1 && want > minWorkerRun {
 			runCap = (want + c.workers - 1) / c.workers
 			if runCap < minWorkerRun {
 				runCap = minWorkerRun
@@ -919,7 +979,7 @@ func (c *Cache) Invalidate() error {
 		if err := c.drainLocked(); err != nil {
 			return err
 		}
-		if c.dirty == 0 {
+		if len(c.dirtyList) == 0 {
 			break
 		}
 	}

@@ -40,6 +40,19 @@ type BatchBlockIO interface {
 	ReadBlocks(ns []int64, bufs [][]byte) error
 }
 
+// Warmer is a BlockIO that can make blocks resident in a cache without
+// handing their contents out (blockcache.Cache, through stegfs's sealing
+// BlockIO). ReadRange opens only the pointer blocks covering its range, but
+// on a Warmer a range past the direct pointers first warms all of the
+// file's pointer blocks — Single and Double, then every L1 block Double
+// names — so a ranged walk keeps them as resident as a whole-file walk
+// does, and a cold tree costs one batched fetch per level rather than one
+// round trip per covering block. Only Double and the covering blocks are
+// opened and parsed.
+type Warmer interface {
+	Warm(ns []int64) error
+}
+
 // AllocFunc returns a fresh block to hold pointer (indirect) data.
 type AllocFunc func() (int64, error)
 
@@ -182,34 +195,6 @@ func getPtrBuf(bs int) *[]byte {
 	return &b
 }
 
-// readPtrBlock reads up to max pointers from a pointer block, stopping at
-// the first NilBlock, appending them to dst.
-func readPtrBlock(io BlockIO, b int64, max int64, dst []int64) ([]int64, error) {
-	p := getPtrBuf(io.BlockSize())
-	defer ptrBufPool.Put(p)
-	if err := io.ReadBlock(b, *p); err != nil {
-		return dst, err
-	}
-	return parsePtrs(io, *p, max, dst), nil
-}
-
-// parsePtrs decodes up to max pointers from a raw pointer block, stopping at
-// the first NilBlock, appending them to dst.
-func parsePtrs(io BlockIO, buf []byte, max int64, dst []int64) []int64 {
-	ppb := ptrsPerBlock(io)
-	if max > ppb {
-		max = ppb
-	}
-	for i := int64(0); i < max; i++ {
-		p := int64(binary.BigEndian.Uint64(buf[i*8:]))
-		if p == NilBlock {
-			break
-		}
-		dst = append(dst, p)
-	}
-	return dst
-}
-
 // Read returns the data-block list of a file with nBlocks blocks stored
 // under root.
 func Read(io BlockIO, root Root, nBlocks int64) ([]int64, error) {
@@ -218,67 +203,195 @@ func Read(io BlockIO, root Root, nBlocks int64) ([]int64, error) {
 
 // ReadInto is Read appending into dst[:0], so callers that traverse the same
 // tree repeatedly can reuse one backing array; it returns the (possibly
-// regrown) slice. Pointer-block scratch comes from an internal pool — a warm
-// caller passing an adequately sized dst triggers no allocation at all.
+// regrown) slice. It is ReadRange over the whole file. Pointer-block scratch
+// comes from internal pools — a warm caller passing an adequately sized dst
+// triggers no allocation at all.
 func ReadInto(io BlockIO, root Root, nBlocks int64, dst []int64) ([]int64, error) {
 	if nBlocks < 0 {
 		return nil, fmt.Errorf("ptree: negative block count %d", nBlocks)
 	}
+	if nBlocks == 0 {
+		return dst[:0], nil
+	}
+	return ReadRange(io, root, nBlocks, 0, nBlocks-1, dst)
+}
+
+// l1Scratch is the pooled working set of a double-indirect walk: the L1
+// block numbers taken from the Double block, and a flat staging buffer with
+// one view per L1 block, so a warm walk allocates nothing.
+type l1Scratch struct {
+	ns   []int64
+	raw  []byte
+	bufs [][]byte
+}
+
+var l1Pool = sync.Pool{New: func() any { return new(l1Scratch) }}
+
+// readL1 reads the L1 blocks sc.ns into sc.bufs: in one batched request when
+// there are several and io offers BatchBlockIO, else block by block.
+func (sc *l1Scratch) readL1(io BlockIO) error {
+	bs, n := io.BlockSize(), len(sc.ns)
+	if cap(sc.raw) < n*bs {
+		sc.raw = make([]byte, n*bs)
+	}
+	if cap(sc.bufs) < n {
+		sc.bufs = make([][]byte, n)
+	}
+	sc.bufs = sc.bufs[:n]
+	for i := range sc.bufs {
+		sc.bufs[i] = sc.raw[i*bs : (i+1)*bs]
+	}
+	if bio, ok := io.(BatchBlockIO); ok && n > 1 {
+		return bio.ReadBlocks(sc.ns, sc.bufs)
+	}
+	for i, b := range sc.ns {
+		if err := io.ReadBlock(b, sc.bufs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadRange returns the data blocks first..last (inclusive) of a file with
+// nBlocks blocks stored under root, appended into dst[:0] like ReadInto. It
+// opens only the pointer blocks that cover the range: none for the direct
+// part, Single only if the range overlaps it, and Double plus the covering
+// L1 blocks (batched like ReadInto's). When io is a Warmer, a range past
+// the direct pointers first warms the file's whole pointer tree (see
+// Warmer). A NilBlock pointer inside the range is an error, so the result
+// never contains NilBlock.
+func ReadRange(io BlockIO, root Root, nBlocks, first, last int64, dst []int64) ([]int64, error) {
+	if first < 0 || first > last || last >= nBlocks {
+		return nil, fmt.Errorf("ptree: range [%d,%d] outside file of %d blocks", first, last, nBlocks)
+	}
+	if nBlocks > MaxBlocks(len(root.Direct), io.BlockSize()) {
+		return nil, fmt.Errorf("%w: %d blocks", ErrTooLarge, nBlocks)
+	}
 	out := dst[:0]
-	for i := 0; int64(i) < nBlocks && i < len(root.Direct); i++ {
+	nd := int64(len(root.Direct))
+	ppb := ptrsPerBlock(io)
+	i := first
+	for ; i <= last && i < nd; i++ {
+		if root.Direct[i] == NilBlock {
+			return nil, fmt.Errorf("ptree: nil pointer for block %d", i)
+		}
 		out = append(out, root.Direct[i])
 	}
-	if int64(len(out)) == nBlocks {
+	if i > last {
 		return out, nil
 	}
-	if root.Single == NilBlock {
-		return nil, errors.New("ptree: missing single-indirect block")
+	sc := l1Pool.Get().(*l1Scratch)
+	defer l1Pool.Put(sc)
+	// Data block j >= base sits in slot (j-base)%ppb of the L1 block that
+	// slot (j-base)/ppb of the Double block names.
+	base := nd + ppb
+	dbl := getPtrBuf(io.BlockSize()) // the Double block, once read
+	defer ptrBufPool.Put(dbl)
+	haveDbl := false
+	var err error
+	if w, ok := io.(Warmer); ok {
+		if haveDbl, err = warmIndex(io, w, root, nBlocks, base, *dbl, sc); err != nil {
+			return nil, err
+		}
 	}
-	out, err := readPtrBlock(io, root.Single, nBlocks-int64(len(out)), out)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(out)) == nBlocks {
-		return out, nil
+	if i < base {
+		if root.Single == NilBlock {
+			return nil, errors.New("ptree: missing single-indirect block")
+		}
+		hi := min(last, base-1)
+		if out, err = readSlots(io, root.Single, i-nd, hi-nd, i, out); err != nil {
+			return nil, err
+		}
+		if i = hi + 1; i > last {
+			return out, nil
+		}
 	}
 	if root.Double == NilBlock {
 		return nil, errors.New("ptree: missing double-indirect block")
 	}
-	l1, err := readPtrBlock(io, root.Double, ptrsPerBlock(io), nil)
-	if err != nil {
-		return nil, err
-	}
-	if bio, ok := io.(BatchBlockIO); ok && len(l1) > 1 {
-		// One batched request for every L1 pointer block of the tree.
-		raw := make([]byte, len(l1)*io.BlockSize())
-		bufs := make([][]byte, len(l1))
-		for i := range l1 {
-			bufs[i] = raw[i*io.BlockSize() : (i+1)*io.BlockSize()]
-		}
-		if err := bio.ReadBlocks(l1, bufs); err != nil {
+	if !haveDbl {
+		if err := io.ReadBlock(root.Double, *dbl); err != nil {
 			return nil, err
 		}
-		for _, buf := range bufs {
-			out = parsePtrs(io, buf, nBlocks-int64(len(out)), out)
-			if int64(len(out)) == nBlocks {
-				return out, nil
-			}
-		}
-	} else {
-		for _, ib := range l1 {
-			out, err = readPtrBlock(io, ib, nBlocks-int64(len(out)), out)
-			if err != nil {
-				return nil, err
-			}
-			if int64(len(out)) == nBlocks {
-				return out, nil
-			}
-		}
 	}
-	if int64(len(out)) != nBlocks {
-		return nil, fmt.Errorf("ptree: found %d of %d blocks", len(out), nBlocks)
+	lo1, hi1 := (i-base)/ppb, (last-base)/ppb
+	if sc.ns, err = slotPtrs(*dbl, lo1, hi1, -1, sc.ns[:0]); err != nil {
+		return nil, err
+	}
+	if err := sc.readL1(io); err != nil {
+		return nil, err
+	}
+	for k, buf := range sc.bufs {
+		lo, hi := int64(0), ppb-1
+		if k == 0 {
+			lo = (i - base) % ppb
+		}
+		if k == len(sc.bufs)-1 {
+			hi = (last - base) % ppb
+		}
+		if out, err = slotPtrs(buf, lo, hi, base+(lo1+int64(k))*ppb+lo, out); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
+}
+
+// warmIndex warms the whole pointer tree of a file with nBlocks blocks
+// whose double-indirect part starts at data block base: Single and Double
+// in one Warm, then, with Double read into dbl, every L1 block it names in
+// a second. A nil slot is skipped, not reported: ReadRange reports those
+// inside its range. It returns whether dbl holds Double.
+func warmIndex(io BlockIO, w Warmer, root Root, nBlocks, base int64, dbl []byte, sc *l1Scratch) (bool, error) {
+	sc.ns = sc.ns[:0]
+	if root.Single != NilBlock {
+		sc.ns = append(sc.ns, root.Single)
+	}
+	hasDbl := nBlocks > base && root.Double != NilBlock
+	if hasDbl {
+		sc.ns = append(sc.ns, root.Double)
+	}
+	if err := w.Warm(sc.ns); err != nil || !hasDbl {
+		return false, err
+	}
+	if err := io.ReadBlock(root.Double, dbl); err != nil {
+		return false, err
+	}
+	sc.ns = sc.ns[:0]
+	for s := int64(0); s <= (nBlocks-1-base)/ptrsPerBlock(io); s++ {
+		if ptr := int64(binary.BigEndian.Uint64(dbl[s*8:])); ptr != NilBlock {
+			sc.ns = append(sc.ns, ptr)
+		}
+	}
+	return true, w.Warm(sc.ns)
+}
+
+// readSlots reads pointer block b and appends its slots lo..hi to dst (see
+// slotPtrs).
+func readSlots(io BlockIO, b, lo, hi, firstData int64, dst []int64) ([]int64, error) {
+	p := getPtrBuf(io.BlockSize())
+	defer ptrBufPool.Put(p)
+	if err := io.ReadBlock(b, *p); err != nil {
+		return nil, err
+	}
+	return slotPtrs(*p, lo, hi, firstData, dst)
+}
+
+// slotPtrs appends pointer slots lo..hi (inclusive) of a raw pointer block
+// to dst. A NilBlock slot is an error naming data block firstData+(slot-lo),
+// or naming the slot itself when firstData is negative (a Double block's L1
+// pointers).
+func slotPtrs(buf []byte, lo, hi, firstData int64, dst []int64) ([]int64, error) {
+	for s := lo; s <= hi; s++ {
+		ptr := int64(binary.BigEndian.Uint64(buf[s*8:]))
+		if ptr == NilBlock {
+			if firstData < 0 {
+				return nil, fmt.Errorf("ptree: nil L1 pointer in double-indirect slot %d", s)
+			}
+			return nil, fmt.Errorf("ptree: nil pointer for block %d", firstData+s-lo)
+		}
+		dst = append(dst, ptr)
+	}
+	return dst, nil
 }
 
 // MetaBlocks returns the indirect blocks reachable from root for a file of
@@ -293,19 +406,22 @@ func MetaBlocks(io BlockIO, root Root, nBlocks int64) ([]int64, error) {
 		return nil, errors.New("ptree: missing single-indirect block")
 	}
 	out = append(out, root.Single)
-	rem := nBlocks - nd - ptrsPerBlock(io)
+	ppb := ptrsPerBlock(io)
+	rem := nBlocks - nd - ppb
 	if rem <= 0 {
 		return out, nil
+	}
+	if nBlocks > MaxBlocks(len(root.Direct), io.BlockSize()) {
+		return nil, fmt.Errorf("%w: %d blocks", ErrTooLarge, nBlocks)
 	}
 	if root.Double == NilBlock {
 		return nil, errors.New("ptree: missing double-indirect block")
 	}
-	out, err := readPtrBlock(io, root.Double, ptrsPerBlock(io), out)
+	out, err := readSlots(io, root.Double, 0, (rem-1)/ppb, -1, out)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, root.Double)
-	return out, nil
+	return append(out, root.Double), nil
 }
 
 // Free releases all indirect blocks of the tree via free. Data blocks are

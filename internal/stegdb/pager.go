@@ -22,10 +22,10 @@
 // recovery replays a CRC-valid journal at OpenPager, so the on-device
 // state is always exactly some committed epoch (old-or-new, never a mix).
 // Lock order inside the package, outermost first: PartitionedTable
-// snapGate → Table key shards → Pager commit lock → tree latches →
-// HashIndex stripes → HashIndex.dirMu → BTree rootMu → Pager.allocMu →
-// page latches → Pager.snapMu → Pager.metaMu → the pageCache mutex. This
-// order is not just prose: each lock carries a lockcheck:level annotation
+// snapGate → Table key shards → Table snapGate → Pager commit lock → tree
+// latches → HashIndex stripes → HashIndex.dirMu → BTree rootMu →
+// Pager.allocMu → page latches → Pager.snapMu → Pager.metaMu → the
+// pageCache mutex. This order is not just prose: each lock carries a lockcheck:level annotation
 // in the stegdb domain and cmd/lockcheck enforces it in CI — see
 // docs/ANALYSIS.md for the grammar and the level map, and docs/STEGDB.md
 // for the protocols that rely on it.

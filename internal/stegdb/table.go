@@ -22,9 +22,16 @@ type Table struct {
 	tree  *BTree
 	hash  *HashIndex
 	hashy bool
-	// Outermost lock of the stegdb hierarchy; one shard per operation.
+	// Outermost lock of a plain table's hierarchy; one shard per operation.
 	// lockcheck:level 10 stegdb/shard
 	shards [nKeyShards]sync.Mutex
+	// snapGate makes Snapshot an atomic cut against the row counter:
+	// treePut/treeDelete hold it shared across one tree change and its
+	// counter bump, Snapshot holds it exclusive while pinning the epoch,
+	// so a snapshot never sees a row its Rows() does not count. The hash
+	// index is outside the gate: snapshots read only the tree.
+	// lockcheck:level 12 stegdb/tableGate
+	snapGate sync.RWMutex
 }
 
 // nKeyShards is the Put/Delete key striping factor.
@@ -91,7 +98,7 @@ func (t *Table) Put(key, val []byte) error {
 	sh := t.shardFor(key)
 	sh.Lock()
 	defer sh.Unlock()
-	prev, existed, err := t.tree.PutEx(key, val)
+	prev, existed, err := t.treePut(key, val)
 	if err != nil {
 		return err
 	}
@@ -99,9 +106,9 @@ func (t *Table) Put(key, val []byte) error {
 		if err := t.hash.Put(key, val); err != nil {
 			var rerr error
 			if existed {
-				_, _, rerr = t.tree.PutEx(key, prev)
+				_, _, rerr = t.treePut(key, prev)
 			} else {
-				_, _, rerr = t.tree.DeleteEx(key)
+				_, _, rerr = t.treeDelete(key)
 			}
 			if rerr != nil {
 				return errors.Join(err, fmt.Errorf("stegdb: rollback failed: %w", rerr))
@@ -109,10 +116,31 @@ func (t *Table) Put(key, val []byte) error {
 			return err
 		}
 	}
-	if !existed {
+	return nil
+}
+
+// treePut stores key in the tree and counts a new row, as one step under
+// the shared snapGate.
+func (t *Table) treePut(key, val []byte) (prev []byte, existed bool, err error) {
+	t.snapGate.RLock()
+	defer t.snapGate.RUnlock()
+	prev, existed, err = t.tree.PutEx(key, val)
+	if err == nil && !existed {
 		t.pg.bumpRows(1)
 	}
-	return nil
+	return prev, existed, err
+}
+
+// treeDelete removes key from the tree and uncounts the row, as one step
+// under the shared snapGate.
+func (t *Table) treeDelete(key []byte) (prev []byte, found bool, err error) {
+	t.snapGate.RLock()
+	defer t.snapGate.RUnlock()
+	prev, found, err = t.tree.DeleteEx(key)
+	if err == nil && found {
+		t.pg.bumpRows(-1)
+	}
+	return prev, found, err
 }
 
 // Get returns the row stored under key. With a hash index it takes the O(1)
@@ -136,22 +164,19 @@ func (t *Table) Delete(key []byte) (bool, error) {
 	sh := t.shardFor(key)
 	sh.Lock()
 	defer sh.Unlock()
-	prev, found, err := t.tree.DeleteEx(key)
+	prev, found, err := t.treeDelete(key)
 	if err != nil {
 		return false, err
 	}
 	if t.hashy {
 		if _, err := t.hash.Delete(key); err != nil {
 			if found {
-				if _, _, rerr := t.tree.PutEx(key, prev); rerr != nil {
+				if _, _, rerr := t.treePut(key, prev); rerr != nil {
 					return false, errors.Join(err, fmt.Errorf("stegdb: rollback failed: %w", rerr))
 				}
 			}
 			return false, err
 		}
-	}
-	if found {
-		t.pg.bumpRows(-1)
 	}
 	return found, nil
 }
@@ -169,8 +194,14 @@ func (t *Table) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
 	return s.Range(lo, hi, fn)
 }
 
-// Snapshot pins a point-in-time read view of the table's ordered rows.
-func (t *Table) Snapshot() *TreeSnapshot { return t.tree.Snapshot() }
+// Snapshot pins a point-in-time read view of the table's ordered rows,
+// excluding writers for the instant of the pinning so the view's Rows()
+// matches its rows.
+func (t *Table) Snapshot() *TreeSnapshot {
+	t.snapGate.Lock()
+	defer t.snapGate.Unlock()
+	return t.tree.Snapshot()
+}
 
 // Rows returns the row count from the persistent counter maintained by
 // Put/Delete — O(1). Check() cross-validates it against a full scan.

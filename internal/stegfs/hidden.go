@@ -283,6 +283,16 @@ func (e *encIO) ReadBlock(n int64, buf []byte) error {
 	return e.sealer.Open(n, buf, buf)
 }
 
+// Warm passes a pointer-tree warm-up (ptree.Warmer) through to the block
+// cache, which holds sealed blocks, so nothing is opened; an uncached volume
+// has nothing to warm.
+func (e *encIO) Warm(ns []int64) error {
+	if w, ok := e.dev.(ptree.Warmer); ok {
+		return w.Warm(ns)
+	}
+	return nil
+}
+
 func (e *encIO) WriteBlock(n int64, buf []byte) error {
 	if cap(e.scratch) < len(buf) {
 		e.scratch = make([]byte, len(buf))
@@ -348,7 +358,7 @@ type hiddenRef struct {
 	hdrStore  header   // backing store for hdr
 	hdrBuf    []byte   // header-block read/write scratch
 	enc       encIO    // the adapter r.io returns
-	blockList []int64  // ptree.ReadInto destination
+	blockList []int64  // ptree.ReadInto/ReadRange destination
 	staging   []byte   // rwHidden span arena
 	spanBufs  [][]byte // block views over staging
 }

@@ -92,6 +92,46 @@ func TestCachedReadAllocFree(t *testing.T) {
 	}
 }
 
+// TestCachedReadAtDoubleIndirectAllocFree extends the zero-allocation pin
+// to a page deep in a large file: the 4 KB window straddles two L1 pointer
+// blocks of the double-indirect part, so the ranged tree lookup reads Double
+// and batches both L1 blocks, all from pooled scratch.
+func TestCachedReadAtDoubleIndirectAllocFree(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	_, v := perfVolume(t)
+	const bs, ppb = 1024, 1024 / 8
+	data := make([]byte, (hdrNumDirect+ppb+2*ppb+4)*bs)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	if err := v.Create("big", data); err != nil {
+		t.Fatal(err)
+	}
+	off := int64(hdrNumDirect+2*ppb-2) * bs // blocks 278..281 span the L1 boundary at 280
+	buf := make([]byte, 4096)
+	for i := 0; i < 8; i++ {
+		if _, err := v.ReadAt("big", buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := v.ReadAt("big", buf, off); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached double-indirect ReadAt allocates %.1f objects/op, want 0", allocs)
+	}
+	if !bytes.Equal(buf, data[off:off+4096]) {
+		t.Fatal("read returned wrong bytes")
+	}
+}
+
 // TestSealerCacheRecycle exercises the staleness paths of the sealer cache:
 // create → open (hint inserted) → delete (hint dropped) → re-create, with
 // the re-created object typically landing on the same header block (same

@@ -69,17 +69,18 @@ func (fs *FS) rwHidden(r *hiddenRef, p []byte, off int64, write bool) (int, erro
 	}
 	bs := int64(fs.dev.BlockSize())
 	io_ := r.io(fs.dev)
-	blocks, err := ptree.ReadInto(io_, r.hdr.root, r.hdr.nblocks, r.blockList)
+	first := off / bs
+	last := (off + int64(len(p)) - 1) / bs
+	if last >= r.hdr.nblocks {
+		return 0, fmt.Errorf("stegfs: offset %d beyond mapped blocks", off+int64(len(p))-1)
+	}
+	// Only the pointer blocks covering the span are read and opened, so a
+	// page-sized I/O into a large file costs O(span), not O(file).
+	span, err := ptree.ReadRange(io_, r.hdr.root, r.hdr.nblocks, first, last, r.blockList)
 	if err != nil {
 		return 0, err
 	}
-	r.blockList = blocks
-	first := off / bs
-	last := (off + int64(len(p)) - 1) / bs
-	if last >= int64(len(blocks)) {
-		return 0, fmt.Errorf("stegfs: offset %d beyond mapped blocks", off+int64(len(p))-1)
-	}
-	span := blocks[first : last+1]
+	r.blockList = span
 	// The span stages in the ref's reusable arena: with a warm cache the
 	// whole read path — lock, header reload, tree walk, batched read,
 	// per-block open — then runs without a single heap allocation.

@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+
+	"stegfs/internal/blockcache"
 )
 
 func newIOView(t *testing.T) *HiddenView {
@@ -162,5 +164,85 @@ func TestPropertyWriteAtReadAt(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadAtWriteAtAcrossTreeBoundaries: page-sized ReadAt and WriteAt
+// windows that start, end or straddle the direct/single-indirect and
+// single/double-indirect boundaries (and an L1 boundary inside the double
+// part) read and write exactly the bytes a whole-file Read sees.
+func TestReadAtWriteAtAcrossTreeBoundaries(t *testing.T) {
+	v := newIOView(t)
+	const bs = 512                                    // 64 pointers per block
+	const size = (hdrNumDirect + 64 + 2*64 + 10) * bs // Single plus three L1 blocks
+	ref := mkPayload(size, 6)
+	if err := v.Create("f", append([]byte(nil), ref...)); err != nil {
+		t.Fatal(err)
+	}
+	var tag byte
+	for _, blk := range []int{0, hdrNumDirect, hdrNumDirect + 64, hdrNumDirect + 2*64, hdrNumDirect + 3*64} {
+		for _, delta := range []int{-bs - 7, -1, 0, 1, bs / 2} {
+			for _, l := range []int{1, bs, 4096, 3 * 4096} {
+				off := blk*bs + delta
+				if off < 0 || off+l > size {
+					continue
+				}
+				buf := make([]byte, l)
+				if _, err := v.ReadAt("f", buf, int64(off)); err != nil {
+					t.Fatalf("ReadAt(%d, %d): %v", off, l, err)
+				}
+				if !bytes.Equal(buf, ref[off:off+l]) {
+					t.Fatalf("ReadAt(%d, %d) returned wrong bytes", off, l)
+				}
+				tag++
+				patch := bytes.Repeat([]byte{tag}, l)
+				if _, err := v.WriteAt("f", patch, int64(off)); err != nil {
+					t.Fatalf("WriteAt(%d, %d): %v", off, l, err)
+				}
+				copy(ref[off:], patch)
+			}
+		}
+	}
+	got, err := v.Read("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatal("whole-file Read disagrees with the ReadAt/WriteAt model")
+	}
+}
+
+// TestRangedReadAtKeepsPointerBlocksWarm: a page ReadAt opens only the
+// pointer blocks covering it, but warms every pointer block of the file in
+// the cache, so after one cold ReadAt a ReadAt under another L1 block misses
+// on its data blocks only, as it did when every ReadAt walked the whole tree.
+func TestRangedReadAtKeepsPointerBlocksWarm(t *testing.T) {
+	fs, v := perfVolume(t)
+	const bs, ppb = 1024, 1024 / 8
+	data := mkPayload((hdrNumDirect+ppb+4*ppb)*bs, 7) // Single plus four L1 blocks
+	if err := v.Create("big", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Cache().Invalidate(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4*bs)
+	read := func(blk int) blockcache.Stats {
+		t.Helper()
+		pre := fs.Cache().Stats()
+		off := int64(blk) * bs
+		if _, err := v.ReadAt("big", buf, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
+			t.Fatalf("ReadAt(block %d) returned wrong bytes", blk)
+		}
+		return fs.Cache().Stats().Sub(pre)
+	}
+	read(hdrNumDirect + ppb + 8) // under the first L1 block, cold
+	for _, blk := range []int{hdrNumDirect + ppb + 3*ppb + 5, hdrNumDirect + 40, hdrNumDirect + ppb + 2*ppb} {
+		if d := read(blk); d.Misses != 4 {
+			t.Errorf("ReadAt(block %d) after a warming ReadAt: %d misses, want 4 (its data blocks)", blk, d.Misses)
+		}
 	}
 }
