@@ -26,8 +26,9 @@ import (
 //     latch-free, then holds at most two per-page tree latches (hand over
 //     hand, moving right) while it modifies a node, so Put/Delete on
 //     different leaves never serialize against each other.
-//   - Readers are latch-free. Get/Scan move right by high key and never
-//     block behind a writer's descent.
+//   - Readers take no tree latches. Get/Scan move right by high key and
+//     never block behind a writer's descent; each page visit parses the
+//     cached frame in place under its shared page latch (descend).
 //   - Snapshots need no tree lock at all. BeginSnapshot pins an epoch and
 //     the meta page atomically; every page pointer a snapshot can follow
 //     leads to content written before the pin (split ordering), so splits
@@ -220,6 +221,11 @@ func encodeNode(n *node, buf []byte) error {
 	return nil
 }
 
+// decodeNode parses a node page into its in-memory form for a writer. The
+// keys, values and high key sub-slice buf (capacity-clipped, so an append
+// never reaches a neighbour), so buf must be the caller's private copy and
+// must not be reused while the node is live; entry slices are pre-sized
+// from the page's count, clamped to what a page can hold.
 func decodeNode(buf []byte) (*node, error) {
 	n := &node{level: buf[1]}
 	count := int(binary.BigEndian.Uint16(buf[2:]))
@@ -230,12 +236,13 @@ func decodeNode(buf []byte) (*node, error) {
 		return nil, fmt.Errorf("stegdb: corrupt node header (high key)")
 	}
 	if hklen > 0 {
-		n.high = append([]byte(nil), buf[off:off+hklen]...)
+		n.high = buf[off : off+hklen : off+hklen]
 	}
 	off += hklen
 	switch buf[0] {
 	case nodeLeaf:
 		n.leaf = true
+		n.entries = make([]kv, 0, min(count, (PageSize-off)/4))
 		for i := 0; i < count; i++ {
 			if off+4 > PageSize {
 				return nil, fmt.Errorf("stegdb: corrupt leaf page")
@@ -246,17 +253,19 @@ func decodeNode(buf []byte) (*node, error) {
 			if off+kl+vl > PageSize {
 				return nil, fmt.Errorf("stegdb: corrupt leaf entry")
 			}
-			e := kv{
-				key: append([]byte(nil), buf[off:off+kl]...),
-				val: append([]byte(nil), buf[off+kl:off+kl+vl]...),
-			}
+			n.entries = append(n.entries, kv{
+				key: buf[off : off+kl : off+kl],
+				val: buf[off+kl : off+kl+vl : off+kl+vl],
+			})
 			off += kl + vl
-			n.entries = append(n.entries, e)
 		}
 	case nodeInternal:
 		if off+8 > PageSize {
 			return nil, fmt.Errorf("stegdb: corrupt internal page")
 		}
+		fit := min(count, (PageSize-off-8)/10)
+		n.keys = make([][]byte, 0, fit)
+		n.children = make([]int64, 0, fit+1)
 		n.children = append(n.children, int64(binary.BigEndian.Uint64(buf[off:])))
 		off += 8
 		for i := 0; i < count; i++ {
@@ -268,7 +277,7 @@ func decodeNode(buf []byte) (*node, error) {
 			if off+kl+8 > PageSize {
 				return nil, fmt.Errorf("stegdb: corrupt internal entry")
 			}
-			n.keys = append(n.keys, append([]byte(nil), buf[off:off+kl]...))
+			n.keys = append(n.keys, buf[off:off+kl:off+kl])
 			off += kl
 			n.children = append(n.children, int64(binary.BigEndian.Uint64(buf[off:])))
 			off += 8
@@ -295,21 +304,187 @@ func (n *node) encodedSize() int {
 	return size
 }
 
-// pageReader is the read side shared by the live pager and snapshots, so
-// one descent/scan implementation serves both.
-type pageReader interface {
-	ReadPage(id int64, buf []byte) error
+// --- in-place reads -------------------------------------------------------------
+
+// pageSource is the read side shared by the live pager and snapshots, so
+// one descent serves both. Exactly one field is set. It is a concrete type
+// rather than an interface so the page visitors passed through it stay on
+// the stack.
+type pageSource struct {
+	pg   *Pager
+	snap *Snapshot
 }
 
-func loadNode(r pageReader, id int64) (*node, error) {
+func (r pageSource) viewPage(id int64, fn func(buf []byte) error) error {
+	if r.snap != nil {
+		return r.snap.viewPage(id, fn)
+	}
+	return r.pg.viewPage(id, fn)
+}
+
+// nodeHeader is a node page's fixed header, parsed in place. The high key
+// is buf[nodeHdr:body] of the page it came from (empty = +inf).
+type nodeHeader struct {
+	leaf  bool
+	level uint8
+	count int   // entries (leaf) or separators (internal)
+	right int64 // right sibling
+	body  int   // offset of the first entry (internal: of child 0)
+}
+
+// parseNodeHeader reads a node page's header in place, with decodeNode's
+// checks. Every offset is checked against len(buf), so a prefix copy of a
+// page parses too.
+func parseNodeHeader(buf []byte) (nodeHeader, error) {
+	if len(buf) < nodeHdr {
+		return nodeHeader{}, fmt.Errorf("stegdb: node page too short (%d bytes)", len(buf))
+	}
+	h := nodeHeader{
+		level: buf[1],
+		count: int(binary.BigEndian.Uint16(buf[2:])),
+		right: int64(binary.BigEndian.Uint64(buf[4:])),
+		body:  nodeHdr + int(binary.BigEndian.Uint16(buf[12:])),
+	}
+	if h.body > len(buf) {
+		return nodeHeader{}, fmt.Errorf("stegdb: corrupt node header (high key)")
+	}
+	switch buf[0] {
+	case nodeLeaf:
+		h.leaf = true
+	case nodeInternal:
+	default:
+		return nodeHeader{}, fmt.Errorf("stegdb: unknown node type %d", buf[0])
+	}
+	return h, nil
+}
+
+// leafEntry parses the leaf entry at off in place, returning its key and
+// value (aliasing buf, capacity-clipped) and the offset of the entry
+// after it.
+func leafEntry(buf []byte, off int) (key, val []byte, next int, err error) {
+	if off+4 > len(buf) {
+		return nil, nil, 0, fmt.Errorf("stegdb: corrupt leaf page")
+	}
+	kl := int(binary.BigEndian.Uint16(buf[off:]))
+	vl := int(binary.BigEndian.Uint16(buf[off+2:]))
+	off += 4
+	if off+kl+vl > len(buf) {
+		return nil, nil, 0, fmt.Errorf("stegdb: corrupt leaf entry")
+	}
+	return buf[off : off+kl : off+kl], buf[off+kl : off+kl+vl : off+kl+vl], off + kl + vl, nil
+}
+
+// step is the outcome of one in-place visit of a search for key.
+type step struct {
+	nodeHeader
+	movedRight bool   // key is at or past the high key: go to next
+	next       int64  // the right sibling, or on an internal node the child covering key
+	found      bool   // leaf: key is present
+	val        []byte // leaf: key's value, aliasing the page (valid only inside the visit)
+	end        int    // offset just past the last entry
+}
+
+// nodeStep is one in-place move of a B-link search for key on node page
+// buf: right past the high key, or down to the child that covers key; on a
+// leaf that covers key it reports key's value instead. It walks every entry
+// whatever it decides, so it rejects exactly the pages decodeNode rejects.
+func nodeStep(buf, key []byte) (step, error) {
+	h, err := parseNodeHeader(buf)
+	if err != nil {
+		return step{}, err
+	}
+	s := step{nodeHeader: h}
+	off := h.body
+	if h.leaf {
+		for i := 0; i < h.count; i++ {
+			k, v, next, err := leafEntry(buf, off)
+			if err != nil {
+				return step{}, err
+			}
+			if !s.found && bytes.Equal(k, key) {
+				s.found, s.val = true, v
+			}
+			off = next
+		}
+	} else {
+		if off+8 > len(buf) {
+			return step{}, fmt.Errorf("stegdb: corrupt internal page")
+		}
+		s.next = int64(binary.BigEndian.Uint64(buf[off:]))
+		off += 8
+		below := true // every separator so far is <= key
+		for i := 0; i < h.count; i++ {
+			if off+2 > len(buf) {
+				return step{}, fmt.Errorf("stegdb: corrupt internal page")
+			}
+			kl := int(binary.BigEndian.Uint16(buf[off:]))
+			off += 2
+			if off+kl+8 > len(buf) {
+				return step{}, fmt.Errorf("stegdb: corrupt internal entry")
+			}
+			if below && bytes.Compare(key, buf[off:off+kl]) >= 0 {
+				s.next = int64(binary.BigEndian.Uint64(buf[off+kl:]))
+			} else {
+				below = false
+			}
+			off += kl + 8
+		}
+	}
+	s.end = off
+	if high := buf[nodeHdr:h.body]; len(high) > 0 && bytes.Compare(key, high) >= 0 {
+		s.movedRight, s.next, s.found, s.val = true, h.right, false, nil
+	}
+	return s, nil
+}
+
+// descend is the B-link search every descent runs: from page id toward
+// the node that owns key at level (0 = the leaf), one nodeStep per page
+// visit, moving right past high keys and down to covering children. When
+// stack is non-nil each node left downward is appended to it and the
+// grown stack returned (a writer's ascent path): one ancestor per level, the rightmost visited there. Stale
+// entries are fine: nodes only ever shed range to the right, and the ascent
+// re-finds the exact parent by moving right under its latch. at, if
+// non-nil, runs inside the target node's visit, with the page still
+// latched, and must follow viewPage's rules.
+func descend(src pageSource, id int64, key []byte, level uint8, stack []int64, at func(buf []byte, s step) error) (int64, []int64, error) {
+	for {
+		var s step
+		err := src.viewPage(id, func(buf []byte) error {
+			var err error
+			if s, err = nodeStep(buf, key); err != nil {
+				return err
+			}
+			if !s.movedRight && s.level == level && at != nil {
+				return at(buf, s)
+			}
+			return nil
+		})
+		switch {
+		case err != nil:
+			return 0, stack, err
+		case s.movedRight && s.next == nilPage:
+			return 0, stack, fmt.Errorf("stegdb: btree key %q past the rightmost node", key)
+		case s.movedRight:
+		case s.level == level:
+			return id, stack, nil
+		case s.leaf || s.level < level:
+			return 0, stack, fmt.Errorf("stegdb: btree level %d unreachable from root", level)
+		case stack != nil:
+			stack = append(stack, id)
+		}
+		id = s.next
+	}
+}
+
+// load copies page id once and decodes it into a private, mutable node:
+// the writers' read path.
+func (t *BTree) load(id int64) (*node, error) {
 	buf := make([]byte, PageSize)
-	if err := r.ReadPage(id, buf); err != nil {
+	if err := t.pg.ReadPage(id, buf); err != nil {
 		return nil, err
 	}
 	return decodeNode(buf)
 }
-
-func (t *BTree) load(id int64) (*node, error) { return loadNode(t.pg, id) }
 
 func (t *BTree) store(id int64, n *node) error {
 	buf := make([]byte, PageSize)
@@ -352,180 +527,149 @@ func (ts *TreeSnapshot) Rows() int64 { return ts.s.RowsAtSnapshot() }
 
 // Get returns the value stored under key as of the snapshot.
 func (ts *TreeSnapshot) Get(key []byte) ([]byte, bool, error) {
-	return getFrom(ts.s, ts.root, key)
+	return getFrom(pageSource{snap: ts.s}, ts.root, key)
 }
 
 // Scan visits every key/value pair in key order as of the snapshot.
 func (ts *TreeSnapshot) Scan(fn func(key, val []byte) bool) error {
-	_, err := rangeFrom(ts.s, ts.root, nil, nil, fn)
-	return err
+	return ts.Range(nil, nil, fn)
 }
 
 // Range visits pairs with lo <= key < hi in key order as of the snapshot
 // (nil bounds are open). The B-link leaf chain makes this a seek plus a
-// bounded walk, not a full scan.
+// bounded walk, not a full scan. fn runs outside every latch, on a private
+// copy of each leaf, so it may write to the same table; the slices it is
+// given stay valid after it returns.
 func (ts *TreeSnapshot) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
-	_, err := rangeFrom(ts.s, ts.root, lo, hi, fn)
-	return err
+	it, err := ts.iter(lo, hi)
+	if err != nil {
+		return err
+	}
+	for !it.done() {
+		if !fn(it.key(), it.val()) {
+			return nil
+		}
+		if err := it.next(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
-	for id != nilPage {
-		n, err := loadNode(r, id)
-		if err != nil {
-			return nil, false, err
-		}
-		if !n.covers(key) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if bytes.Equal(e.key, key) {
-					return e.val, true, nil
-				}
-			}
-			return nil, false, nil
-		}
-		id = n.children[childIndex(n.keys, key)]
+// getFrom looks key up from page id, in place: the only copy is the
+// returned value, at its exact size.
+func getFrom(src pageSource, id int64, key []byte) ([]byte, bool, error) {
+	if id == nilPage {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	var val []byte
+	var found bool
+	_, _, err := descend(src, id, key, 0, nil, func(_ []byte, s step) error {
+		if found = s.found; found {
+			val = make([]byte, len(s.val))
+			copy(val, s.val)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return val, found, nil
 }
 
-// rangeFrom walks pairs with lo <= key < hi (nil = open) in order: descend
-// toward lo, then follow the leaf chain rightward until hi.
-func rangeFrom(r pageReader, root int64, lo, hi []byte, fn func(k, v []byte) bool) (bool, error) {
-	if root == nilPage {
-		return true, nil
-	}
-	id := root
-	var n *node
-	for {
-		var err error
-		n, err = loadNode(r, id)
-		if err != nil {
-			return false, err
-		}
-		if lo != nil && !n.covers(lo) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			break
-		}
-		if lo == nil {
-			id = n.children[0]
-		} else {
-			id = n.children[childIndex(n.keys, lo)]
-		}
-	}
-	for {
-		for _, e := range n.entries {
-			if lo != nil && bytes.Compare(e.key, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(e.key, hi) >= 0 {
-				return true, nil
-			}
-			if !fn(e.key, e.val) {
-				return false, nil
-			}
-		}
-		if n.right == nilPage {
-			return true, nil
-		}
-		var err error
-		n, err = loadNode(r, n.right)
-		if err != nil {
-			return false, err
-		}
-	}
-}
-
-// treeIter is a pull iterator over one snapshot's [lo, hi) range, used by
-// partitioned tables to k-way-merge per-partition snapshots into one
-// ordered stream. done() true means exhausted; key()/val() are valid only
-// while !done().
+// treeIter is a pull iterator over one snapshot's [lo, hi) range: Range
+// runs on it, and partitioned tables k-way-merge one per partition into
+// one ordered stream. It keeps a private copy of the leaf it is on, made
+// under the leaf's latch, so no latch is held between calls. done() true
+// means exhausted; key()/val() are valid only while !done().
 type treeIter struct {
-	r        pageReader
-	cur      *node
-	idx      int
+	src      pageSource
 	hi       []byte
+	leaf     []byte // private copy of the current leaf, up to its last entry
+	off      int    // offset of the next entry in leaf
+	left     int    // entries in leaf from off on
+	right    int64  // the current leaf's right sibling
+	k, v     []byte // the current entry, aliasing leaf
 	finished bool
 }
 
 // iter positions a new iterator at the first key >= lo of the snapshot.
 func (ts *TreeSnapshot) iter(lo, hi []byte) (*treeIter, error) {
-	it := &treeIter{r: ts.s, hi: hi}
+	it := &treeIter{src: pageSource{snap: ts.s}, hi: hi}
 	if ts.root == nilPage {
 		it.finished = true
 		return it, nil
 	}
-	id := ts.root
+	if _, _, err := descend(it.src, ts.root, lo, 0, nil, it.enter); err != nil {
+		return nil, err
+	}
 	for {
-		n, err := loadNode(it.r, id)
-		if err != nil {
+		if err := it.next(); err != nil {
 			return nil, err
 		}
-		if lo != nil && !n.covers(lo) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			it.cur = n
-			break
-		}
-		if lo == nil {
-			id = n.children[0]
-		} else {
-			id = n.children[childIndex(n.keys, lo)]
+		if it.finished || lo == nil || bytes.Compare(it.k, lo) >= 0 {
+			return it, nil
 		}
 	}
-	for it.idx < len(it.cur.entries) && lo != nil && bytes.Compare(it.cur.entries[it.idx].key, lo) < 0 {
-		it.idx++
-	}
-	return it, it.settle()
 }
 
-// settle advances past exhausted leaves and enforces the hi bound.
-func (it *treeIter) settle() error {
-	for !it.finished {
-		if it.idx < len(it.cur.entries) {
-			if it.hi != nil && bytes.Compare(it.cur.entries[it.idx].key, it.hi) >= 0 {
-				it.finished = true
-			}
-			return nil
-		}
-		if it.cur.right == nilPage {
+// enter makes leaf page buf, already walked by nodeStep into s, the
+// iterator's current leaf.
+func (it *treeIter) enter(buf []byte, s step) error {
+	it.leaf = make([]byte, s.end)
+	copy(it.leaf, buf)
+	it.off, it.left, it.right = s.body, s.count, s.right
+	return nil
+}
+
+// enterRight is the page visit that moves the iterator along the leaf
+// chain to its right sibling.
+func (it *treeIter) enterRight(buf []byte) error {
+	s, err := nodeStep(buf, nil)
+	if err != nil {
+		return err
+	}
+	if !s.leaf {
+		return errors.New("stegdb: btree leaf chain reaches a non-leaf page")
+	}
+	return it.enter(buf, s)
+}
+
+// next moves to the following entry, crossing to the right sibling when
+// the leaf is exhausted, and enforces the hi bound.
+func (it *treeIter) next() error {
+	for it.left == 0 {
+		if it.right == nilPage {
 			it.finished = true
 			return nil
 		}
-		n, err := loadNode(it.r, it.cur.right)
-		if err != nil {
+		if err := it.src.viewPage(it.right, it.enterRight); err != nil {
 			return err
 		}
-		it.cur, it.idx = n, 0
+	}
+	k, v, off, err := leafEntry(it.leaf, it.off)
+	if err != nil {
+		return err
+	}
+	it.k, it.v, it.off, it.left = k, v, off, it.left-1
+	if it.hi != nil && bytes.Compare(k, it.hi) >= 0 {
+		it.finished = true
 	}
 	return nil
 }
 
 func (it *treeIter) done() bool  { return it.finished }
-func (it *treeIter) key() []byte { return it.cur.entries[it.idx].key }
-func (it *treeIter) val() []byte { return it.cur.entries[it.idx].val }
-
-// next advances to the following key.
-func (it *treeIter) next() error {
-	it.idx++
-	return it.settle()
-}
+func (it *treeIter) key() []byte { return it.k }
+func (it *treeIter) val() []byte { return it.v }
 
 // --- operations ----------------------------------------------------------------
 
-// Get returns the value stored under key, or (nil, false). The read is
-// latch-free: it descends the live tree moving right past in-flight splits,
-// never blocking behind a writer.
+// Get returns the value stored under key, or (nil, false). The read takes
+// no tree latch: it descends the live tree in place, moving right past
+// in-flight splits, and waits for a writer only while that writer stores
+// the one page being visited.
 func (t *BTree) Get(key []byte) ([]byte, bool, error) {
-	return getFrom(t.pg, t.root(), key)
+	return getFrom(pageSource{pg: t.pg}, t.root(), key)
 }
 
 // childIndex returns the child slot for key: the number of separators <= key.
@@ -570,7 +714,8 @@ func (t *BTree) PutEx(key, val []byte) (prev []byte, existed bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	stack, leafID, err := descendToLeaf(t.pg, rootID, key)
+	var stackBuf [8]int64
+	leafID, stack, err := descend(pageSource{pg: t.pg}, rootID, key, 0, stackBuf[:0], nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -632,30 +777,6 @@ func (t *BTree) ensureRoot() (int64, error) {
 	}
 	t.setRoot(id)
 	return id, nil
-}
-
-// descendToLeaf walks from rootID to the leaf owning key without latches,
-// recording one ancestor per level (the rightmost node visited at that
-// level) for the ascent after a split. Stale entries are fine: nodes only
-// ever shed range to the right, and the ascent re-finds the exact parent by
-// moving right under its latch.
-func descendToLeaf(r pageReader, rootID int64, key []byte) (stack []int64, leafID int64, err error) {
-	id := rootID
-	for {
-		n, err := loadNode(r, id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !n.covers(key) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			return stack, id, nil
-		}
-		stack = append(stack, id)
-		id = n.children[childIndex(n.keys, key)]
-	}
 }
 
 // lockNodeForKey latches the node that currently owns key's range in
@@ -794,30 +915,14 @@ func (t *BTree) growOrFindParent(leftID int64, sep []byte, rightID int64, level 
 // findAtLevel descends the live tree to the node owning key at the given
 // level (used after a concurrent root growth stole the ascent's target).
 func (t *BTree) findAtLevel(key []byte, level uint8) (int64, error) {
-	id := t.root()
-	for {
-		n, err := t.load(id)
-		if err != nil {
-			return 0, err
-		}
-		if !n.covers(key) {
-			id = n.right
-			continue
-		}
-		if n.level == level {
-			return id, nil
-		}
-		if n.leaf || n.level < level {
-			return 0, fmt.Errorf("stegdb: btree level %d unreachable from root", level)
-		}
-		id = n.children[childIndex(n.keys, key)]
-	}
+	id, _, err := descend(pageSource{pg: t.pg}, t.root(), key, level, nil, nil)
+	return id, err
 }
 
 // undoLeafChange reverses a committed leaf mutation after a later step of
 // the same Put failed, restoring the exact prior row state.
 func (t *BTree) undoLeafChange(key []byte, res putResult) error {
-	_, leafID, err := descendToLeaf(t.pg, t.root(), key)
+	leafID, _, err := descend(pageSource{pg: t.pg}, t.root(), key, 0, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -900,7 +1005,7 @@ func (t *BTree) DeleteEx(key []byte) (prev []byte, found bool, err error) {
 	if rootID == nilPage {
 		return nil, false, nil
 	}
-	_, leafID, err := descendToLeaf(t.pg, rootID, key)
+	leafID, _, err := descend(pageSource{pg: t.pg}, rootID, key, 0, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -939,9 +1044,14 @@ func (t *BTree) Height() (int, error) {
 	if s.root == nilPage {
 		return 0, nil
 	}
-	n, err := loadNode(s.s, s.root)
+	var level uint8
+	err := s.s.viewPage(s.root, func(buf []byte) error {
+		h, err := parseNodeHeader(buf)
+		level = h.level
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	return int(n.level) + 1, nil
+	return int(level) + 1, nil
 }

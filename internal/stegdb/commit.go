@@ -119,7 +119,7 @@ func (g *groupCommit) do(fn func() error) error {
 // walRecord is one captured page image bound for the journal and home file.
 type walRecord struct {
 	id  int64
-	img []byte
+	img []byte // PageSize bytes of commitState.images
 }
 
 // clearOp marks a live-captured frame whose dirty flag may be cleared
@@ -133,6 +133,7 @@ type clearOp struct {
 type commitState struct {
 	entries   []*pageEntry // every dirty frame at capture, pinned
 	recs      []walRecord  // captured page images, ascending id
+	images    []byte       // recs[k].img is images[k*PageSize:(k+1)*PageSize]
 	clears    []clearOp
 	meta      [PageSize]byte
 	metaGen   uint64
@@ -236,13 +237,17 @@ func (p *Pager) commitPrepare() (*commitState, error) {
 	s := p.beginSnapshot(st.meta[:], &st.metaGen)
 	st.epoch = s.epoch
 	st.entries = p.cache.dirtyEntries()
+	// One buffer holds every image in ascending id order, so each run of
+	// consecutive pages is already contiguous for commitHome.
+	st.images = make([]byte, len(st.entries)*PageSize)
 	var err error
 	for _, e := range st.entries {
 		if e.id >= s.numPages {
 			// Allocated after the pin; the next commit gets it.
 			continue
 		}
-		img := make([]byte, PageSize)
+		k := len(st.recs)
+		img := st.images[k*PageSize : (k+1)*PageSize : (k+1)*PageSize]
 		live, gen, ok, cerr := p.captureAsOf(e, s.epoch, img)
 		if cerr != nil {
 			err = cerr
@@ -278,7 +283,7 @@ func (p *Pager) commitPrepare() (*commitState, error) {
 // generation to clear after homing), else the newest saved version at or
 // before E. ok=false means the frame holds nothing persistable (a write
 // that failed before loading content). Lock order: page latch -> snapMu,
-// same as Snapshot.ReadPage.
+// same as Snapshot.viewPage.
 func (p *Pager) captureAsOf(e *pageEntry, epoch int64, img []byte) (live bool, gen uint64, ok bool, err error) {
 	e.latch.RLock()
 	defer e.latch.RUnlock()
@@ -347,26 +352,16 @@ func (p *Pager) writeWAL(st *commitState) error {
 }
 
 // commitHome writes the captured cut into the home file: vectored runs of
-// consecutive pages, then the meta image. Dirty flags are cleared
-// write-wins afterwards — a frame (or the meta) redirtied since capture
-// stays dirty for the next commit.
+// consecutive pages, each a contiguous slice of the capture buffer, then
+// the meta image. Dirty flags are cleared write-wins afterwards — a frame
+// (or the meta) redirtied since capture stays dirty for the next commit.
 func (p *Pager) commitHome(st *commitState) error {
 	for i := 0; i < len(st.recs); {
 		j := i + 1
 		for j < len(st.recs) && st.recs[j].id == st.recs[j-1].id+1 {
 			j++
 		}
-		run := st.recs[i:j]
-		var buf []byte
-		if len(run) == 1 {
-			buf = run[0].img
-		} else {
-			buf = make([]byte, len(run)*PageSize)
-			for k, r := range run {
-				copy(buf[k*PageSize:], r.img)
-			}
-		}
-		if _, err := p.view.WriteAt(p.name, buf, run[0].id*PageSize); err != nil {
+		if _, err := p.view.WriteAt(p.name, st.images[i*PageSize:j*PageSize], st.recs[i].id*PageSize); err != nil {
 			return err
 		}
 		i = j

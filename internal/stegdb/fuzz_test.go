@@ -3,12 +3,15 @@ package stegdb
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
 // FuzzDecodeBucket drives the bucket-chain codec's corruption paths: an
-// adversarially mangled page must never panic the decoder, and anything it
-// accepts must survive an encode/decode round trip.
+// adversarially mangled page must never panic the decoder, anything it
+// accepts must survive an encode/decode round trip, and the in-place
+// search (bucketFind) must accept exactly the same pages and find every
+// key's first value.
 func FuzzDecodeBucket(f *testing.F) {
 	valid := make([]byte, PageSize)
 	if err := encodeBucket(&bucketPage{
@@ -32,8 +35,23 @@ func FuzzDecodeBucket(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bp, err := decodeBucket(data)
+		if _, _, _, ferr := bucketFind(data, nil); (ferr == nil) != (err == nil) {
+			t.Fatalf("bucketFind err %v, decodeBucket err %v", ferr, err)
+		}
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
+		}
+		// A few keys, not all: a lying count makes thousands of entries.
+		for _, i := range []int{0, len(bp.entries) / 2, len(bp.entries) - 1} {
+			if len(bp.entries) == 0 {
+				break
+			}
+			key := bp.entries[i].key
+			v, next, ok, err := bucketFind(data, key)
+			first := slices.IndexFunc(bp.entries, func(o kv) bool { return bytes.Equal(o.key, key) })
+			if err != nil || !ok || next != bp.next || !bytes.Equal(v, bp.entries[first].val) {
+				t.Fatalf("bucketFind entry %d: %q ok=%v next=%d err=%v", i, v, ok, next, err)
+			}
 		}
 		if bp.size() > len(data) {
 			t.Fatalf("accepted bucket claims %d bytes from %d input", bp.size(), len(data))

@@ -288,13 +288,25 @@ func (p *Pager) InvalidatePageCache() error {
 	return nil
 }
 
-// ReadPage reads page id into buf (len PageSize).
+// ReadPage copies page id into buf (len PageSize).
 func (p *Pager) ReadPage(id int64, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("stegdb: page buffer %d != %d", len(buf), PageSize)
 	}
-	if id <= nilPage || id >= p.NumPages() {
-		return fmt.Errorf("stegdb: page %d out of range [1,%d)", id, p.NumPages())
+	return p.viewPage(id, func(page []byte) error {
+		copy(buf, page)
+		return nil
+	})
+}
+
+// viewPage runs fn over page id's cached frame in place, holding the
+// frame's shared latch for the duration: the read path of every tree and
+// hash lookup, with no page copy. fn must not retain buf, pin or latch
+// another page, call the View or run user code — a frame holds at most
+// one latch, and a writer of this page waits until fn returns.
+func (p *Pager) viewPage(id int64, fn func(buf []byte) error) error {
+	if n := p.NumPages(); id <= nilPage || id >= n {
+		return fmt.Errorf("stegdb: page %d out of range [1,%d)", id, n)
 	}
 	e := p.cache.pin(id)
 	defer p.cache.unpin(e)
@@ -302,9 +314,8 @@ func (p *Pager) ReadPage(id int64, buf []byte) error {
 		return err
 	}
 	e.latch.RLock()
-	copy(buf, e.buf[:])
-	e.latch.RUnlock()
-	return nil
+	defer e.latch.RUnlock()
+	return fn(e.buf[:])
 }
 
 // ensureLoaded fills e.buf from the hidden file if the frame is empty.
@@ -366,11 +377,13 @@ func (p *Pager) AllocPage() (int64, error) {
 	p.allocMu.Lock()
 	defer p.allocMu.Unlock()
 	if head := p.metaField(metaFreeHead); head != nilPage {
-		buf := make([]byte, PageSize)
-		if err := p.ReadPage(head, buf); err != nil {
+		var next int64
+		if err := p.viewPage(head, func(buf []byte) error {
+			next = int64(binary.BigEndian.Uint64(buf))
+			return nil
+		}); err != nil {
 			return 0, err
 		}
-		next := int64(binary.BigEndian.Uint64(buf))
 		p.setMetaField(metaFreeHead, next)
 		zero := make([]byte, PageSize)
 		if err := p.WritePage(head, zero); err != nil {

@@ -114,13 +114,12 @@ func (s *Snapshot) BTreeRoot() int64 { return s.btreeRoot }
 // RowsAtSnapshot returns the row counter as of the snapshot.
 func (s *Snapshot) RowsAtSnapshot() int64 { return s.rows }
 
-// ReadPage reads page id as of the snapshot's epoch: the live frame when
-// the page has not been rewritten since, else the newest saved pre-image
-// the snapshot is allowed to see.
-func (s *Snapshot) ReadPage(id int64, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("stegdb: page buffer %d != %d", len(buf), PageSize)
-	}
+// viewPage runs fn over page id as of the snapshot's epoch, in place: the
+// live frame (under its shared latch) when the page has not been rewritten
+// since, else the newest saved pre-image the snapshot is allowed to see.
+// Saved versions are immutable, so fn may read one after snapMu is
+// released. fn follows Pager.viewPage's rules.
+func (s *Snapshot) viewPage(id int64, fn func(buf []byte) error) error {
 	if id <= nilPage || id >= s.numPages {
 		return fmt.Errorf("stegdb: snapshot page %d out of range [1,%d)", id, s.numPages)
 	}
@@ -138,8 +137,7 @@ func (s *Snapshot) ReadPage(id int64, buf []byte) error {
 	p.snapMu.Lock()
 	if p.liveEpoch[id] <= s.epoch {
 		p.snapMu.Unlock()
-		copy(buf, e.buf[:])
-		return nil
+		return fn(e.buf[:])
 	}
 	// The live page is too new; find the newest saved version the snapshot
 	// may see. Versions are appended in epoch order.
@@ -148,8 +146,7 @@ func (s *Snapshot) ReadPage(id int64, buf []byte) error {
 		if vs[i].epoch <= s.epoch {
 			data := vs[i].data
 			p.snapMu.Unlock()
-			copy(buf, data)
-			return nil
+			return fn(data)
 		}
 	}
 	p.snapMu.Unlock()
